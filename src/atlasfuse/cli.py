@@ -170,15 +170,6 @@ def build_parser():
     return p
 
 
-def _cleanup_partial(out_dir):
-    if not out_dir or not os.path.isdir(out_dir):
-        return
-    for name in ("segmentation.nii.gz", "volumes.csv", "manifest.json", "metrics.csv", "metrics.json"):
-        path = os.path.join(out_dir, name)
-        if os.path.isfile(path):
-            os.remove(path)
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -188,7 +179,6 @@ def main(argv=None):
     try:
         return args.func(args)
     except AtlasFuseError as e:
-        _cleanup_partial(getattr(args, "out_dir", None))
         code = 1 if isinstance(e, UsageError) else 3 if isinstance(e, NumericalError) else 2
         print(json.dumps({"status": "error", "error": type(e).__name__, "message": str(e)}), file=sys.stderr)
         return code

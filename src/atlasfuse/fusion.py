@@ -9,6 +9,26 @@ clamped to zero and the weights renormalized before voting.
 Voxels where every warped atlas already agrees are copied directly, which
 both speeds things up and makes JLF bit-identical to majority voting when
 the atlases are identical.
+
+The patch search is offset-major. Every candidate patch centre (the
+disagreeing voxels dilated by the search cube) gets its per-atlas patch mean
+and std once, as row reductions over (centre x patch) blocks. Then, for a
+fixed-size chunk of disagreeing voxels, each atlas and each search offset
+gathers one (chunk x patch) block and scores it against the target patches
+with the same elementwise operations a per-voxel loop would run, so the
+labels are bit-identical to that loop (kept as the oracle in
+tests/test_fusion.py):
+
+- mean and std are ``mean(axis=1)`` / ``std(axis=1)`` of contiguous patch
+  rows, never box filters, whose running sums round differently;
+- a flat patch (std < 1e-12) is divided by 1.0, which is exact and equals
+  centring only;
+- the running best SAD is replaced only on a strict ``<``, which keeps
+  ``argmin``'s first-minimum tie-break over the search offsets.
+
+Besides the statistics (16 bytes per atlas and centre) and a 4-byte
+centre-to-row table over the padded volume, working memory is a few
+(chunk x patch) buffers: no (voxel x offset x patch) array is ever held.
 """
 
 from __future__ import annotations
@@ -16,9 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import binary_dilation
 
 from .errors import EmptyAtlasList, GeometryMismatch, SingularDependency
 from .grid import LabelVolume, VolumeGrid
+
+_CHUNK = 256  # disagreeing voxels scored together; (chunk x patch) buffers stay in cache
+_STAT_BLOCK = 1024  # candidate centres per mean/std block
 
 
 @dataclass
@@ -96,6 +120,24 @@ def _zscore(patch):
     return (patch - mu) / sd
 
 
+def _cube_offsets(radius, strides):
+    """Flat offsets of the (2r+1)^3 cube in C order, as the index grids would list it."""
+    r = np.arange(-radius, radius + 1)
+    return np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3) @ strides
+
+
+def _centre_stats(flat, centres, patch_off):
+    """Per-centre patch mean and z-score divisor (1.0 for flat patches)."""
+    mu = np.empty(len(centres))
+    sd = np.empty(len(centres))
+    for b in range(0, len(centres), _STAT_BLOCK):
+        rows = flat[centres[b : b + _STAT_BLOCK, None] + patch_off]
+        mu[b : b + len(rows)] = rows.mean(axis=1)
+        sd[b : b + len(rows)] = rows.std(axis=1)
+    sd[sd < 1e-12] = 1.0
+    return mu, sd
+
+
 def joint_label_fusion(
     target: VolumeGrid,
     atlas_intensities,
@@ -120,43 +162,63 @@ def joint_label_fusion(
     pr, sr = params.patch_radius, params.search_radius
     pad = pr + sr
     tpad = np.pad(target.data, pad, mode="edge")
-    apad = [np.pad(v.data, pad, mode="edge") for v in atlas_intensities]
-    lpad = [np.pad(lv.data, pad, mode="constant", constant_values=0) for lv in atlas_labels]
+    apad = [np.pad(v.data, pad, mode="edge").ravel() for v in atlas_intensities]
+    lpad = [np.pad(lv.data, pad, mode="constant", constant_values=0).ravel() for lv in atlas_labels]
+    strides = np.array([tpad.shape[1] * tpad.shape[2], tpad.shape[2], 1])
+    patch_off = _cube_offsets(pr, strides)
+    search_off = _cube_offsets(sr, strides)
+    npatch = len(patch_off)
 
-    side = 2 * pr + 1
-    po = np.stack(
-        np.meshgrid(*([np.arange(-pr, pr + 1)] * 3), indexing="ij"), axis=-1
-    ).reshape(-1, 3)  # (P, 3) patch offsets
-    so = np.stack(
-        np.meshgrid(*([np.arange(-sr, sr + 1)] * 3), indexing="ij"), axis=-1
-    ).reshape(-1, 3)  # (S, 3) search offsets
-    npatch = side**3
+    # flat indices into the padded volumes; every gathered index is in range
+    # because the padding covers patch plus search radius
+    vmask = np.pad(disagree, pad)
+    vox = np.flatnonzero(vmask)
+    centres = np.flatnonzero(binary_dilation(vmask, np.ones((2 * sr + 1,) * 3, dtype=bool)))
+    row_of = np.zeros(vmask.size, dtype=np.int32)
+    row_of[centres] = np.arange(len(centres), dtype=np.int32)
+    stats = [_centre_stats(a, centres, patch_off) for a in apad]
+    fused = np.empty(len(vox), dtype=out.dtype)
 
-    vox = np.argwhere(disagree)
-    for i, j, k in vox:
-        ci, cj, ck = i + pad, j + pad, k + pad
-        tpatch = _zscore(
-            tpad[ci - pr : ci + pr + 1, cj - pr : cj + pr + 1, ck - pr : ck + pr + 1]
-        ).reshape(-1)
-        diffs = np.empty((n, npatch))
-        votes_code = np.empty(n, dtype=np.int64)
-        centers = so + (ci, cj, ck)  # candidate patch centers (S, 3)
-        cand_idx = centers[:, None, :] + po[None, :, :]
-        ix, iy, iz = cand_idx[..., 0], cand_idx[..., 1], cand_idx[..., 2]
+    for c0 in range(0, len(vox), _CHUNK):
+        vc = vox[c0 : c0 + _CHUNK]
+        m = len(vc)
+        tpatch = np.empty((m, npatch))
+        for v, (ci, cj, ck) in enumerate(zip(*np.unravel_index(vc, tpad.shape))):
+            tpatch[v] = _zscore(
+                tpad[ci - pr : ci + pr + 1, cj - pr : cj + pr + 1, ck - pr : ck + pr + 1]
+            ).reshape(-1)
+        base = vc[:, None] + patch_off
+        idx = np.empty_like(base)
+        buf = np.empty((m, npatch))
+        sad = np.empty(m)
+        diffs = np.empty((m, n, npatch))
+        votes = np.empty((m, n), dtype=np.int64)
         for ai in range(n):
-            cand = apad[ai][ix, iy, iz]
-            mu = cand.mean(axis=1, keepdims=True)
-            sd = cand.std(axis=1, keepdims=True)
-            norm = np.where(sd < 1e-12, cand - mu, (cand - mu) / np.maximum(sd, 1e-12))
-            d = norm - tpatch[None, :]
-            best = int(np.argmin(np.abs(d).sum(axis=1)))
-            diffs[ai] = d[best]
-            bc = centers[best]
-            votes_code[ai] = lpad[ai][bc[0], bc[1], bc[2]]
-        w = jlf_weights(diffs, params.beta, params.epsilon_scale, params.absolute_epsilon)
-        codes = np.unique(votes_code)
-        acc = np.array([w[votes_code == c].sum() for c in codes])
-        out[i, j, k] = codes[int(np.argmax(acc))]
+            flat, (mu, sd) = apad[ai], stats[ai]
+            best = np.full(m, np.inf)
+            best_off = np.full(m, search_off[0])
+            for so in search_off:
+                rows = row_of[vc + so]
+                np.add(base, so, out=idx)
+                np.take(flat, idx, out=buf, mode="clip")  # in range; "clip" skips a buffered copy
+                buf -= mu[rows, None]
+                buf /= sd[rows, None]
+                buf -= tpatch
+                np.abs(buf, out=buf)
+                buf.sum(axis=1, out=sad)
+                better = sad < best
+                best[better] = sad[better]
+                best_off[better] = so
+            bc = vc + best_off
+            rows = row_of[bc]
+            diffs[:, ai] = (flat[bc[:, None] + patch_off] - mu[rows, None]) / sd[rows, None] - tpatch
+            votes[:, ai] = lpad[ai][bc]
+        for v in range(m):
+            w = jlf_weights(diffs[v], params.beta, params.epsilon_scale, params.absolute_epsilon)
+            codes = np.unique(votes[v])
+            acc = np.array([w[votes[v] == c].sum() for c in codes])
+            fused[c0 + v] = codes[int(np.argmax(acc))]
 
+    out[disagree] = fused  # vox lists the disagreeing voxels in C order
     ref = atlas_labels[0]
     return LabelVolume(out, ref.affine, ref.spacing, ref.scheme)

@@ -18,6 +18,7 @@ from importlib import resources
 import numpy as np
 from scipy.ndimage import map_coordinates
 
+from .atomic import atomic_open
 from .errors import (
     AllBackground,
     EmptyBox,
@@ -146,7 +147,7 @@ class LabelScheme:
             {"code": c, "abbrev": e.abbrev, "name": e.name, "hemisphere": e.hemisphere}
             for c, e in sorted(self.entries.items())
         ]
-        with open(path, "w") as f:
+        with atomic_open(path) as f:
             json.dump(rows, f, indent=2)
 
     @classmethod

@@ -13,6 +13,7 @@ import os
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import (
     BadMagic,
     DimMismatch,
@@ -236,11 +237,11 @@ def _write_blob(path, hdr, data_f_order_bytes):
         if str(path).endswith(".gz"):
             # fixed mtime and no embedded filename keep gzip output
             # byte-reproducible regardless of path or wall clock
-            with open(path, "wb") as raw:
+            with atomic_open(path, "wb") as raw:
                 with gzip.GzipFile(fileobj=raw, mode="wb", filename="", mtime=0) as f:
                     f.write(blob)
         else:
-            with open(path, "wb") as f:
+            with atomic_open(path, "wb") as f:
                 f.write(blob)
     except OSError as e:
         raise IoFailure(str(e)) from e

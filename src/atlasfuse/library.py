@@ -18,6 +18,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from .atomic import atomic_open
 from .errors import MissingFile
 from .grid import CropBox, LabelScheme, LabelVolume, VolumeGrid
 
@@ -42,7 +43,7 @@ class AtlasLibrary:
 
         os.makedirs(out_dir, exist_ok=True)
         imgio.write_volume(self.template, os.path.join(out_dir, "template.nii.gz"))
-        with open(os.path.join(out_dir, "cropbox.json"), "w") as f:
+        with atomic_open(os.path.join(out_dir, "cropbox.json")) as f:
             json.dump(self.crop_box.to_dict(), f, indent=2)
         self.scheme.to_json(os.path.join(out_dir, "scheme.json"))
         for p in self.priors:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import stdtr
 
+from .atomic import atomic_open
 from .errors import (
     EmptyStructure,
     GeometryMismatch,
@@ -108,7 +109,7 @@ class SegmentationReport:
     notes: dict = field(default_factory=dict)
 
     def to_csv(self, path, subject_id=""):
-        with open(path, "w", newline="") as f:
+        with atomic_open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(
                 [
@@ -153,7 +154,7 @@ class SegmentationReport:
                 for r in self.rows
             ],
         }
-        with open(path, "w") as f:
+        with atomic_open(path) as f:
             json.dump(payload, f, indent=2)
 
 
@@ -206,8 +207,12 @@ def build_report(
 
 
 def student_t_sf_two_sided(t: float, dof: int) -> float:
-    """Two-sided tail probability of Student's t."""
-    return float(2.0 * (1.0 - stdtr(dof, abs(t))))
+    """Two-sided tail probability of Student's t.
+
+    Taken from the lower tail at -|t|: ``1 - stdtr(dof, |t|)`` cancels to 0
+    once the tail drops below the double-precision epsilon.
+    """
+    return float(2.0 * stdtr(dof, -abs(t)))
 
 
 def paired_t_test(x, y, m: int = DEFAULT_COMPARISONS, code: int = 0, name: str = "") -> PairedTestResult:
@@ -250,7 +255,7 @@ def bonferroni_threshold(m: int = DEFAULT_COMPARISONS, alpha: float = 0.05) -> f
 
 
 def write_stats_csv(results, path, m=DEFAULT_COMPARISONS):
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["label_code", "label_name", "t", "dof", "p", "sig_raw", "sig_bonferroni"])
         for r in results:

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import imgio
+from .atomic import atomic_open
 from .errors import GeometryMismatch, InsufficientSubjects, RowMismatch, UsageError
 from .fusion import JlfParams, joint_label_fusion, majority_vote
 from .grid import CropBox, LabelVolume, crop, label_bounding_box, resample, uncrop
@@ -68,7 +69,7 @@ class RunManifest:
     notes: dict = field(default_factory=dict)
 
     def save(self, path):
-        with open(path, "w") as f:
+        with atomic_open(path) as f:
             json.dump(asdict(self), f, indent=2, sort_keys=True)
 
 
@@ -177,7 +178,7 @@ def run_segment(
     written.append(seg_path)
 
     vol_path = os.path.join(out_dir, "volumes.csv")
-    with open(vol_path, "w", newline="") as f:
+    with atomic_open(vol_path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["label_code", "label_name", "volume_mm3"])
         w.writerow([WHOLE_THALAMUS_CODE, "Thalamus", f"{nucleus_volume(seg_full, WHOLE_THALAMUS_CODE):.6f}"])

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates
 
+from .atomic import atomic_open
 from .errors import (
     DegenerateInput,
     FoldingDetected,
@@ -68,7 +69,7 @@ class AffineTransform:
         return AffineTransform(self.matrix @ other.matrix, kind)
 
     def to_json(self, path):
-        with open(path, "w") as f:
+        with atomic_open(path) as f:
             json.dump({"kind": self.kind, "matrix": self.matrix.tolist()}, f, indent=2)
 
     @classmethod

@@ -169,3 +169,121 @@ def test_jlf_list_length_mismatch():
         joint_label_fusion(target, [], [])
     with pytest.raises(GeometryMismatch):
         joint_label_fusion(target, [target, target], [lab])
+
+
+# --- joint_label_fusion against the per-voxel reference loop ---
+
+
+def _zscore_ref(patch):
+    mu = patch.mean()
+    sd = patch.std()
+    if sd < 1e-12:
+        return patch - mu
+    return (patch - mu) / sd
+
+
+def _reference_jlf(target, atlas_intensities, atlas_labels, params):
+    """The per-voxel search loop the offset-major implementation must match bit for bit."""
+    n = len(atlas_labels)
+    stack = np.stack([lv.data for lv in atlas_labels], axis=0)
+    out = stack[0].copy()
+    disagree = np.any(stack != stack[0], axis=0)
+    if n == 1 or not disagree.any():
+        return out
+
+    pr, sr = params.patch_radius, params.search_radius
+    pad = pr + sr
+    tpad = np.pad(target.data, pad, mode="edge")
+    apad = [np.pad(v.data, pad, mode="edge") for v in atlas_intensities]
+    lpad = [np.pad(lv.data, pad, mode="constant", constant_values=0) for lv in atlas_labels]
+
+    side = 2 * pr + 1
+    po = np.stack(
+        np.meshgrid(*([np.arange(-pr, pr + 1)] * 3), indexing="ij"), axis=-1
+    ).reshape(-1, 3)  # (P, 3) patch offsets
+    so = np.stack(
+        np.meshgrid(*([np.arange(-sr, sr + 1)] * 3), indexing="ij"), axis=-1
+    ).reshape(-1, 3)  # (S, 3) search offsets
+    npatch = side**3
+
+    vox = np.argwhere(disagree)
+    for i, j, k in vox:
+        ci, cj, ck = i + pad, j + pad, k + pad
+        tpatch = _zscore_ref(
+            tpad[ci - pr : ci + pr + 1, cj - pr : cj + pr + 1, ck - pr : ck + pr + 1]
+        ).reshape(-1)
+        diffs = np.empty((n, npatch))
+        votes_code = np.empty(n, dtype=np.int64)
+        centers = so + (ci, cj, ck)  # candidate patch centers (S, 3)
+        cand_idx = centers[:, None, :] + po[None, :, :]
+        ix, iy, iz = cand_idx[..., 0], cand_idx[..., 1], cand_idx[..., 2]
+        for ai in range(n):
+            cand = apad[ai][ix, iy, iz]
+            mu = cand.mean(axis=1, keepdims=True)
+            sd = cand.std(axis=1, keepdims=True)
+            norm = np.where(sd < 1e-12, cand - mu, (cand - mu) / np.maximum(sd, 1e-12))
+            d = norm - tpatch[None, :]
+            best = int(np.argmin(np.abs(d).sum(axis=1)))
+            diffs[ai] = d[best]
+            bc = centers[best]
+            votes_code[ai] = lpad[ai][bc[0], bc[1], bc[2]]
+        w = jlf_weights(diffs, params.beta, params.epsilon_scale, params.absolute_epsilon)
+        codes = np.unique(votes_code)
+        acc = np.array([w[votes_code == c].sum() for c in codes])
+        out[i, j, k] = codes[int(np.argmax(acc))]
+    return out
+
+
+def _oracle_case(seed, n, shape, texture):
+    """Target, n noisy atlas intensities and n disagreeing labelmaps.
+
+    texture "noise" is i.i.d.; "flat" adds constant blocks (flat patches in
+    target and atlases); "tiled" repeats a 2-voxel motif so SADs tie.
+    """
+    rng = np.random.default_rng(seed)
+    if texture == "tiled":
+        motif = rng.integers(0, 3, size=(2, 2, 2)).astype(float)
+        base = np.tile(motif, [-(-s // 2) for s in shape])[: shape[0], : shape[1], : shape[2]]
+    else:
+        base = rng.standard_normal(shape)
+    if texture == "flat":
+        base[: shape[0] // 2, :, : shape[2] // 2] = 0.1
+        base[:, shape[1] // 2 :, shape[2] // 2 :] = -0.25
+    target = _vol(base)
+    ints, labs = [], []
+    truth = (base > np.median(base)).astype(np.int32) + 1
+    for _ in range(n):
+        noisy = base if texture == "tiled" else base + 0.3 * rng.standard_normal(shape)
+        if texture == "flat":
+            noisy = np.where(base == 0.1, 0.1, noisy)
+        ints.append(_vol(noisy))
+        flip = rng.random(shape) < 0.25
+        labs.append(_lab(np.where(flip, rng.integers(0, 4, size=shape), truth)))
+    return target, ints, labs
+
+
+@pytest.mark.parametrize(
+    "seed,n,shape,texture,pr,sr",
+    [
+        (10, 2, (5, 6, 7), "noise", 0, 0),
+        (11, 3, (6, 5, 6), "noise", 1, 0),
+        (12, 5, (5, 5, 6), "noise", 0, 2),
+        (13, 2, (6, 6, 5), "noise", 2, 1),
+        (14, 3, (6, 7, 6), "noise", 1, 2),
+        (15, 5, (5, 6, 5), "noise", 2, 2),
+        (16, 3, (7, 6, 7), "flat", 1, 1),
+        (17, 5, (6, 6, 6), "flat", 2, 1),
+        (18, 2, (6, 7, 6), "tiled", 1, 1),
+        (19, 5, (6, 6, 6), "tiled", 1, 2),
+        (20, 3, (12, 11, 10), "noise", 1, 1),  # over 256 disagreeing voxels
+    ],
+)
+def test_jlf_matches_reference_loop(seed, n, shape, texture, pr, sr):
+    target, ints, labs = _oracle_case(seed, n, shape, texture)
+    params = JlfParams(patch_radius=pr, search_radius=sr)
+    out = joint_label_fusion(target, ints, labs, params).data
+    ref = _reference_jlf(target, ints, labs, params)
+    # every border voxel disagrees somewhere, so edge padding is exercised
+    stack = np.stack([lv.data for lv in labs])
+    assert np.any(stack != stack[0], axis=0)[[0, -1]].any()
+    assert np.array_equal(out, ref)

@@ -9,6 +9,7 @@ from atlasfuse import imgio
 from atlasfuse.errors import (
     BadMagic,
     DimMismatch,
+    IoFailure,
     LabelOverflow,
     MissingFile,
     UnsupportedDatatype,
@@ -56,6 +57,21 @@ def test_gzip_output_is_byte_reproducible(tmp_path):
     imgio.write_volume(vol, p1)
     imgio.write_volume(vol, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def test_failed_write_leaves_previous_file_whole(tmp_path, monkeypatch):
+    path = tmp_path / "v.nii.gz"
+    imgio.write_volume(_random_volume(np.random.default_rng(4)), str(path))
+    before = path.read_bytes()
+
+    def disk_full(self, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(gzip.GzipFile, "write", disk_full)
+    with pytest.raises(IoFailure):
+        imgio.write_volume(_random_volume(np.random.default_rng(5)), str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["v.nii.gz"]
 
 
 def test_identity_affine_written_as_identity_sform(tmp_path):

@@ -164,6 +164,20 @@ def test_t_sf_reference_value():
     assert 0.0038 < p < 0.05
 
 
+@pytest.mark.parametrize(
+    "t,dof", [(2.18, 12), (-3.5, 4), (20.0, 10), (40.0, 20), (-40.0, 20), (12.0, 2), (300.0, 7)]
+)
+def test_t_sf_matches_mpmath_in_the_tail(t, dof):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        # two-sided p = I_{dof / (dof + t^2)}(dof / 2, 1 / 2)
+        x = mpmath.mpf(dof) / (dof + mpmath.mpf(t) ** 2)
+        exact = float(mpmath.betainc(mpmath.mpf(dof) / 2, mpmath.mpf(1) / 2, 0, x, regularized=True))
+    p = student_t_sf_two_sided(t, dof)
+    assert p > 0.0
+    assert abs(p - exact) <= 1e-12 * exact
+
+
 def test_bonferroni_threshold():
     assert bonferroni_threshold(13) == 0.05 / 13
     assert f"{bonferroni_threshold(13):.4f}" == "0.0038"

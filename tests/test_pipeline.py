@@ -237,6 +237,20 @@ def test_cli_eval_geometry_mismatch_exit_2_and_cleanup(tmp_path, base):
     assert not (out_dir / "metrics.csv").exists()
 
 
+def test_cli_failed_eval_keeps_existing_outputs(tmp_path, segment_run):
+    """An eval that fails must not touch an earlier segment's outputs in its --out-dir."""
+    seg_dir = tmp_path / "seg"
+    shutil.copytree(os.path.dirname(segment_run["segmentation"]), seg_dir)
+    before = {name: _sha(seg_dir / name) for name in os.listdir(seg_dir)}
+    float_map = str(tmp_path / "float.nii.gz")
+    imgio.write_volume(imgio.read_volume(segment_run["segmentation"]), float_map)
+    code = main(
+        ["eval", "--seg-a", float_map, "--seg-b", str(seg_dir / "segmentation.nii.gz"), "--out-dir", str(seg_dir)]
+    )
+    assert code == 2
+    assert {name: _sha(seg_dir / name) for name in os.listdir(seg_dir)} == before
+
+
 def test_cli_phantom_then_segment_with_true_warp(tmp_path):
     out_dir = str(tmp_path / "ph")
     assert main(["phantom", "--seed", "3", "--out-dir", out_dir, "--n-atlases", "2"]) == 0

@@ -12,9 +12,8 @@ import os
 import sys
 
 from . import __version__, imgio
-from .errors import AtlasFuseError, DataError, NumericalError, UsageError
+from .errors import AtlasFuseError, NumericalError, UsageError
 from .fusion import JlfParams
-from .grid import default_scheme
 from .phantom import PhantomSpec, WarpSpec, derive_atlases, make_subject, synthesized_base
 from .pipeline import run_eval, run_segment, run_stats
 from .register import RegConfig

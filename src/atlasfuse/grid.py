@@ -12,7 +12,7 @@ Conventions used throughout the toolkit:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np

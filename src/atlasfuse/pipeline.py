@@ -22,7 +22,7 @@ from . import imgio
 from .atomic import atomic_open
 from .errors import GeometryMismatch, InsufficientSubjects, RowMismatch, UsageError
 from .fusion import JlfParams, joint_label_fusion, majority_vote
-from .grid import CropBox, LabelVolume, crop, label_bounding_box, resample, uncrop
+from .grid import CropBox, crop, resample, uncrop
 from .grid import default_scheme as grid_default_scheme
 from .library import AtlasLibrary
 from .metrics import (

@@ -15,7 +15,7 @@ both the update and the accumulated field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates
@@ -151,18 +151,25 @@ def compose_fields(outer: DeformationField, inner: DeformationField) -> Deformat
 
 
 def invert_field(field: DeformationField, tol_mm=0.01, max_iter=50) -> DeformationField:
-    """Fixed-point inversion g <- -f(x + g(x)); residual is max |f(x+g)+g|."""
+    """Fixed-point inversion g <- -f(x + g(x)); residual is max |f(x+g)+g|.
+
+    The sample h = f(x + g_k) that measures g_k's residual is also the next
+    iterate, g_{k+1} = -h (Chen et al., "A simple fixed-point approach to
+    invert a deformation field", Med. Phys. 2008), so each iteration samples
+    the field once: max_iter + 1 samples in all.
+    """
     pts = field.geometry.grid_world()
-    g = np.zeros_like(pts)
+    h = field.sample_disp(pts)
     best = None
     best_res = np.inf
     grow = 0
     prev_res = np.inf
     for _ in range(max_iter):
-        g = -field.sample_disp(pts + g)
-        res = float(np.linalg.norm(field.sample_disp(pts + g) + g, axis=1).max())
+        g = -h
+        h = field.sample_disp(pts + g)
+        res = float(np.linalg.norm(h + g, axis=1).max())
         if res < best_res:
-            best, best_res = g.copy(), res
+            best, best_res = g, res
         if res < tol_mm:
             break
         if res > prev_res * (1.0 + 1e-9):
@@ -258,17 +265,20 @@ class _MiCost:
     def __call__(self, transform: AffineTransform) -> float:
         src = self.pts @ transform.matrix[:3, :3].T + transform.matrix[:3, 3]
         idx = src @ self.minv[:3, :3].T + self.minv[:3, 3]
-        valid = np.all((idx >= 0) & (idx <= self.mdims - 1), axis=1)
-        if valid.sum() < 100:
+        valid = np.ones(len(idx), dtype=bool)
+        for a in range(3):
+            valid &= (idx[:, a] >= 0) & (idx[:, a] <= self.mdims[a] - 1)
+        if np.count_nonzero(valid) < 100:
             return 1.0  # no usable overlap; any real -MI is <= 0
-        mvals = map_coordinates(self.moving.data, idx[valid].T, order=1, mode="nearest")
-        # out-of-bounds samples go to a dedicated moving bin so shrinking the
-        # overlap cannot masquerade as higher dependence
+        # every point is interpolated (each value depends on its own point
+        # only), then out-of-bounds samples go to a dedicated moving bin so
+        # shrinking the overlap cannot masquerade as higher dependence
+        mvals = map_coordinates(self.moving.data, idx.T, order=1, mode="nearest")
         ncols = self.bins + 1
-        mbin = np.full(len(valid), self.bins, dtype=np.int64)
-        mbin[valid] = np.clip(
+        mbin = np.clip(
             ((mvals - self.vmin) / self.vrange * self.bins).astype(np.int64), 0, self.bins - 1
         )
+        mbin[~valid] = self.bins
         joint = np.bincount(
             self.fbin * ncols + mbin, minlength=self.bins * ncols
         ).reshape(self.bins, ncols)
@@ -307,9 +317,25 @@ def _matrix_kind(n_params):
 
 
 def _coordinate_descent(cost, p0, steps, min_steps, max_sweeps, tol, window):
+    """Adaptive-step coordinate search minimizing cost; returns (p, f).
+
+    Each sweep tries p +/- steps[k] per coordinate, takes the first strict
+    improvement and grows that step; a sweep without one halves every step.
+    Costs are memoized by the trial vector's bytes for the length of one call:
+    a coordinate whose step and base point did not change since the previous
+    sweep would otherwise re-evaluate the same candidates.
+    """
+    seen = {}
+
+    def cached(q):
+        key = q.tobytes()
+        if key not in seen:
+            seen[key] = cost(q)
+        return seen[key]
+
     p = np.asarray(p0, dtype=float).copy()
     steps = np.asarray(steps, dtype=float).copy()
-    f = cost(p)
+    f = cached(p)
     history = [f]
     for _ in range(max_sweeps):
         improved = False
@@ -317,7 +343,7 @@ def _coordinate_descent(cost, p0, steps, min_steps, max_sweeps, tol, window):
             for sign in (1.0, -1.0):
                 cand = p.copy()
                 cand[k] += sign * steps[k]
-                fc = cost(cand)
+                fc = cached(cand)
                 if fc < f - 1e-14:
                     p, f = cand, fc
                     steps[k] *= 1.5

@@ -339,16 +339,16 @@ def test_criterion_7_ablation_ordering(tmp_path_factory, base):
 
 def test_criterion_8_statistics_oracle():
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
     worst = 0.0
-    for dof in range(2, 31):
-        for t in (0.25, 0.5, 1.0, 1.7, 2.18, 3.5, 6.0):
-            x = mpmath.mpf(dof) / (dof + mpmath.mpf(t) ** 2)
-            want = float(
-                mpmath.betainc(mpmath.mpf(dof) / 2, mpmath.mpf("0.5"), 0, x, regularized=True)
-            )
-            got = student_t_sf_two_sided(t, dof)
-            worst = max(worst, abs(got - want))
+    with mpmath.workdps(40):
+        for dof in range(2, 31):
+            for t in (0.25, 0.5, 1.0, 1.7, 2.18, 3.5, 6.0):
+                x = mpmath.mpf(dof) / (dof + mpmath.mpf(t) ** 2)
+                want = float(
+                    mpmath.betainc(mpmath.mpf(dof) / 2, mpmath.mpf("0.5"), 0, x, regularized=True)
+                )
+                got = student_t_sf_two_sided(t, dof)
+                worst = max(worst, abs(got - want))
     thr_ok = bonferroni_threshold(13) == 0.05 / 13
     ok = worst < 1e-9 and thr_ok
     _verdict(8, "paired statistics oracle", ok)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import gaussian_filter, map_coordinates
 
 from atlasfuse.errors import (
     DegenerateInput,
@@ -16,6 +16,9 @@ from atlasfuse.register import (
     AffineTransform,
     DeformationField,
     RegConfig,
+    _coordinate_descent,
+    _MiCost,
+    _params_to_matrix,
     compose_fields,
     field_from_affine,
     invert_field,
@@ -155,13 +158,17 @@ def test_invert_random_diffeo_composition_residual():
     assert float(np.sqrt((res.disp**2).sum(axis=-1)).max()) < 0.05
 
 
-def test_inversion_divergence_detected():
+def _expansive_field():
     geom = Geometry((32, 32, 32), np.ones(3), np.eye(4))
     ii = np.indices(geom.dims).transpose(1, 2, 3, 0).astype(float)
     disp = np.zeros(geom.dims + (3,))
     disp[..., 0] = 1.1 * (ii[..., 0] - 15.5)  # expansive map, fixed point repels
+    return DeformationField(geom, disp)
+
+
+def test_inversion_divergence_detected():
     with pytest.raises(InversionDiverged):
-        invert_field(DeformationField(geom, disp))
+        invert_field(_expansive_field())
 
 
 def test_jacobian_of_affine_field_matches_determinant():
@@ -254,3 +261,231 @@ def test_deformable_zero_iterations_returns_affine_init(base):
     f = register_deformable(fixed, fixed, init, cfg)
     expect = field_from_affine(init, fixed.geometry)
     assert np.array_equal(f.disp, expect.disp)
+
+
+# --- one-sample inversion against the two-sample loop ---
+
+
+def _reference_invert(field, tol_mm=0.01, max_iter=50):
+    """The inversion loop that samples the field twice per iteration."""
+    pts = field.geometry.grid_world()
+    g = np.zeros_like(pts)
+    best = None
+    best_res = np.inf
+    grow = 0
+    prev_res = np.inf
+    for _ in range(max_iter):
+        g = -field.sample_disp(pts + g)
+        res = float(np.linalg.norm(field.sample_disp(pts + g) + g, axis=1).max())
+        if res < best_res:
+            best, best_res = g.copy(), res
+        if res < tol_mm:
+            break
+        if res > prev_res * (1.0 + 1e-9):
+            grow += 1
+            if grow >= 5:
+                raise InversionDiverged(f"residual grew for 5 iterations ({res:.4g} mm)")
+        else:
+            grow = 0
+        prev_res = res
+    return best.reshape(field.disp.shape), best_res, best_res < tol_mm
+
+
+class _CountingField(DeformationField):
+    samples = 0
+
+    def sample_disp(self, world_pts):
+        self.samples += 1
+        return super().sample_disp(world_pts)
+
+
+def _oracle_field(case):
+    geom24 = Geometry((24, 24, 24), np.ones(3), np.eye(4))
+    if case == "zero":
+        return DeformationField.zero(GEOM16)
+    if case == "constant":
+        return _const_field(GEOM16, (1.5, -2.0, 0.75))
+    if case == "converging":
+        return random_diffeo(WarpSpec(seed=5, smoothness_mm=6.0, edge_taper_voxels=6), geom24)
+    if case == "stalling":
+        # untapered: the inverse needs samples outside the lattice, which read
+        # 0, so the residual stalls near the boundary displacement
+        spec = WarpSpec(seed=1, max_displacement_mm=2.0, smoothness_mm=4.0, edge_taper_voxels=0)
+        return random_diffeo(spec, GEOM16)
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize(
+    "case, max_iter",
+    [
+        ("zero", 50),
+        ("constant", 50),
+        ("converging", 50),
+        ("stalling", 50),
+        ("converging", 1),
+        ("converging", 2),
+        ("stalling", 1),
+        ("stalling", 2),
+    ],
+)
+def test_invert_matches_two_sample_loop(case, max_iter):
+    field = _oracle_field(case)
+    want_disp, want_res, want_conv = _reference_invert(field, max_iter=max_iter)
+    counted = _CountingField(field.geometry, field.disp)
+    got = invert_field(counted, max_iter=max_iter)
+    assert np.array_equal(got.disp, want_disp)
+    assert got.residual_mm == want_res
+    assert got.converged == want_conv
+    # one field sample per iteration, plus the first; fewer if it converged
+    assert counted.samples == max_iter + 1 or got.converged
+    if max_iter == 50 and case in ("converging", "stalling"):
+        assert got.converged == (case == "converging")
+
+
+def test_invert_divergence_matches_two_sample_loop():
+    field = _expansive_field()
+    with pytest.raises(InversionDiverged) as want:
+        _reference_invert(field)
+    with pytest.raises(InversionDiverged) as got:
+        invert_field(field)
+    assert str(got.value) == str(want.value)
+
+
+# --- MI stage against the gather-based cost and the unmemoized search ---
+
+
+def _reference_mi(cost, transform):
+    """_MiCost.__call__ interpolating only the in-bounds samples."""
+    src = cost.pts @ transform.matrix[:3, :3].T + transform.matrix[:3, 3]
+    idx = src @ cost.minv[:3, :3].T + cost.minv[:3, 3]
+    valid = np.all((idx >= 0) & (idx <= cost.mdims - 1), axis=1)
+    if valid.sum() < 100:
+        return 1.0
+    mvals = map_coordinates(cost.moving.data, idx[valid].T, order=1, mode="nearest")
+    ncols = cost.bins + 1
+    mbin = np.full(len(valid), cost.bins, dtype=np.int64)
+    mbin[valid] = np.clip(
+        ((mvals - cost.vmin) / cost.vrange * cost.bins).astype(np.int64), 0, cost.bins - 1
+    )
+    joint = np.bincount(cost.fbin * ncols + mbin, minlength=cost.bins * ncols).reshape(
+        cost.bins, ncols
+    )
+    p = joint / joint.sum()
+    px = p.sum(axis=1, keepdims=True)
+    py = p.sum(axis=0, keepdims=True)
+    nz = p > 0
+    return -float(np.sum(p[nz] * np.log(p[nz] / (px @ py)[nz])))
+
+
+def _reference_descent(cost, p0, steps, min_steps, max_sweeps, tol, window):
+    """_coordinate_descent without the per-call memo."""
+    p = np.asarray(p0, dtype=float).copy()
+    steps = np.asarray(steps, dtype=float).copy()
+    f = cost(p)
+    history = [f]
+    for _ in range(max_sweeps):
+        improved = False
+        for k in range(len(p)):
+            for sign in (1.0, -1.0):
+                cand = p.copy()
+                cand[k] += sign * steps[k]
+                fc = cost(cand)
+                if fc < f - 1e-14:
+                    p, f = cand, fc
+                    steps[k] *= 1.5
+                    improved = True
+                    break
+        if not improved:
+            steps *= 0.5
+            if np.all(steps < min_steps):
+                break
+        history.append(f)
+        if len(history) > window:
+            ref = history[-window - 1]
+            if abs(ref - f) < tol * max(abs(ref), 1e-12):
+                if np.all(steps < min_steps * 8):
+                    break
+    return p, f
+
+
+def _mi_pair(seed):
+    rng = np.random.default_rng(seed)
+    fixed = VolumeGrid(gaussian_filter(rng.standard_normal((20, 18, 16)), 2.0), np.eye(4))
+    aff = np.diag([1.2, 1.0, 0.9, 1.0])
+    aff[:3, 3] = (-1.5, 0.5, 1.0)
+    moving = VolumeGrid(gaussian_filter(rng.standard_normal((18, 20, 17)), 2.0), aff)
+    return fixed, moving
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mi_cost_matches_gather_reference(seed):
+    fixed, moving = _mi_pair(seed)
+    cost = _MiCost(fixed, moving, 32, 50000)
+    center = fixed.geometry.grid_world().mean(axis=0)
+    rng = np.random.default_rng(100 + seed)
+    full = partial = empty = 0
+    for shift in (0.0, 4.0, 12.0, 40.0):
+        for _ in range(8):
+            p = np.r_[rng.uniform(-shift, shift, 3), rng.uniform(-0.15, 0.15, 3)]
+            t = AffineTransform(_params_to_matrix(p, center, 6), "rigid")
+            src = cost.pts @ t.matrix[:3, :3].T + t.matrix[:3, 3]
+            idx = src @ cost.minv[:3, :3].T + cost.minv[:3, 3]
+            n_valid = int(np.all((idx >= 0) & (idx <= cost.mdims - 1), axis=1).sum())
+            full += n_valid == len(idx)
+            partial += 100 <= n_valid < len(idx)
+            empty += n_valid < 100
+            assert cost(t) == _reference_mi(cost, t)
+    # a moving image that covers the fixed one gives the full-overlap case
+    big = VolumeGrid(gaussian_filter(rng.standard_normal((30, 30, 30)), 2.0), np.eye(4))
+    big_cost = _MiCost(fixed, big, 32, 50000)
+    for _ in range(8):
+        p = np.r_[rng.uniform(-1.0, 1.0, 3), rng.uniform(-0.05, 0.05, 3)]
+        t = AffineTransform(_params_to_matrix(p, center, 6), "rigid")
+        full += 1
+        assert big_cost(t) == _reference_mi(big_cost, t)
+    assert partial and empty and full
+    far = AffineTransform(_params_to_matrix(np.r_[100.0, 0, 0, 0, 0, 0], center, 6), "rigid")
+    assert cost(far) == _reference_mi(cost, far) == 1.0
+
+
+class _CountingCost:
+    def __init__(self, cost):
+        self.cost = cost
+        self.seen = []
+
+    def __call__(self, q):
+        self.seen.append(q.tobytes())
+        return self.cost(q)
+
+
+def _bumpy_quadratic(q):
+    w = np.array([1.0, 3.0, 0.5, 2.0, 1.5, 0.8])
+    target = np.array([0.7, -1.3, 2.2, 0.05, -0.4, 1.1])
+    return float(np.sum(w * (q - target) ** 2) + 0.05 * np.sum(np.cos(7.0 * q)))
+
+
+@pytest.mark.parametrize("which", ["quadratic", "mi"])
+def test_coordinate_descent_never_repeats_a_trial(which):
+    if which == "quadratic":
+        cost = _bumpy_quadratic
+        args = (np.zeros(6), np.full(6, 0.5), np.full(6, 1e-3), 60, 1e-5, 10)
+    else:
+        fixed, moving = _mi_pair(3)
+        mi = _MiCost(fixed, moving, 32, 50000)
+        center = fixed.geometry.grid_world().mean(axis=0)
+
+        def cost(q):
+            return mi(AffineTransform(_params_to_matrix(q, center, 6), "rigid"))
+
+        steps = np.r_[np.ones(3), np.full(3, 0.08)]
+        mins = np.r_[np.full(3, 0.02), np.full(3, 5e-4)]
+        args = (np.zeros(6), steps, mins, 40, 1e-5, 10)
+    plain = _CountingCost(cost)
+    want_p, want_f = _reference_descent(plain, *args)
+    counted = _CountingCost(cost)
+    got_p, got_f = _coordinate_descent(counted, *args)
+    assert np.array_equal(got_p, want_p)
+    assert got_f == want_f
+    assert len(counted.seen) == len(set(counted.seen))
+    # the unmemoized loop does repeat trials here, so the memo is exercised
+    assert len(set(plain.seen)) == len(counted.seen) < len(plain.seen)

@@ -158,6 +158,8 @@ def invert_field(field: DeformationField, tol_mm=0.01, max_iter=50) -> Deformati
     invert a deformation field", Med. Phys. 2008), so each iteration samples
     the field once: max_iter + 1 samples in all.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     pts = field.geometry.grid_world()
     h = field.sample_disp(pts)
     best = None

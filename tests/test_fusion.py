@@ -1,9 +1,12 @@
 """Majority voting and joint label fusion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from atlasfuse.errors import EmptyAtlasList, GeometryMismatch
+from atlasfuse import fusion
+from atlasfuse.errors import EmptyAtlasList, GeometryMismatch, SingularDependency
 from atlasfuse.fusion import JlfParams, jlf_weights, joint_label_fusion, majority_vote
 from atlasfuse.grid import LabelVolume, VolumeGrid
 
@@ -276,6 +279,10 @@ def _oracle_case(seed, n, shape, texture):
         (18, 2, (6, 7, 6), "tiled", 1, 1),
         (19, 5, (6, 6, 6), "tiled", 1, 2),
         (20, 3, (12, 11, 10), "noise", 1, 1),  # over 256 disagreeing voxels
+        # default radii (2, 3), each over 256 disagreeing voxels: several chunks
+        (21, 3, (9, 10, 9), "noise", 2, 3),
+        (22, 5, (8, 9, 8), "flat", 2, 3),
+        (23, 2, (11, 10, 10), "tiled", 2, 3),
     ],
 )
 def test_jlf_matches_reference_loop(seed, n, shape, texture, pr, sr):
@@ -287,3 +294,117 @@ def test_jlf_matches_reference_loop(seed, n, shape, texture, pr, sr):
     stack = np.stack([lv.data for lv in labs])
     assert np.any(stack != stack[0], axis=0)[[0, -1]].any()
     assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("cap_rows", [1, 400])
+def test_jlf_window_split_matches_reference_loop(monkeypatch, cap_rows):
+    """A chunk whose window exceeds the cap is halved, down to one voxel, with the same labels."""
+    target, ints, labs = _oracle_case(24, 3, (9, 8, 9), "noise")
+    params = JlfParams(patch_radius=1, search_radius=2)
+    sizes = []
+    real = fusion._fuse_chunk
+
+    def spy(vc, *args):
+        sizes.append(len(vc))
+        return real(vc, *args)
+
+    monkeypatch.setattr(fusion, "_WINDOW_CAP", cap_rows * 3**3)
+    monkeypatch.setattr(fusion, "_fuse_chunk", spy)
+    out = joint_label_fusion(target, ints, labs, params).data
+    stack = np.stack([lv.data for lv in labs])
+    assert sum(sizes) == np.any(stack != stack[0], axis=0).sum() > fusion._CHUNK
+    assert max(sizes) == 1 if cap_rows == 1 else 1 < max(sizes) < fusion._CHUNK
+    assert np.array_equal(out, _reference_jlf(target, ints, labs, params))
+
+
+def test_jlf_memory_stays_under_window_cap():
+    """5% scattered disagreement at default radii: an uncapped window held 15k rows (15 MB)."""
+    shape, n = (16, 32, 32), 3
+    rng = np.random.default_rng(30)
+    base = rng.standard_normal(shape)
+    truth = (base > 0).astype(np.int32) + 1
+    scattered = np.where(rng.random(shape) < 0.05, 3, truth)
+    ints = [_vol(base + 0.3 * rng.standard_normal(shape)) for _ in range(n)]
+    labs = [_lab(truth), _lab(truth), _lab(scattered)]
+    tracemalloc.start()
+    try:
+        joint_label_fusion(_vol(base), ints, labs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nsearch, npatch = 7**3, 5**3
+    # (offset x chunk) index tables; target, gather, three row-reduction
+    # temporaries and the (chunk x atlas x patch) differences
+    chunk_bytes = 8 * fusion._CHUNK * (2 * nsearch + (n + 5) * npatch)
+    # stacked labels and padded copies of the inputs
+    volume_bytes = 8 * int(np.prod(np.add(shape, 10))) * (2 * n + 3)
+    assert peak < (8 << 20) + chunk_bytes + volume_bytes  # the window cap is 8 MiB
+
+
+# --- batched jlf_weights and the vectorised vote against per-voxel references ---
+
+
+def _reference_weights(diffs, beta=2.0, epsilon_scale=0.1, absolute_epsilon=None):
+    """The single-voxel jlf_weights body the batched call must match bit for bit."""
+    d = np.abs(np.asarray(diffs, dtype=float))
+    m = (d @ d.T) ** beta
+    eps = absolute_epsilon
+    if eps is None:
+        eps = epsilon_scale * max(float(np.mean(np.diag(m))), 1e-12)
+    try:
+        w = np.linalg.solve(m + eps * np.eye(len(d)), np.ones(len(d)))
+    except np.linalg.LinAlgError as e:
+        raise SingularDependency(str(e)) from e
+    s = w.sum()
+    if abs(s) < 1e-30:
+        raise SingularDependency("weight sum collapsed to zero")
+    w = w / s
+    w = np.clip(w, 0.0, None)
+    total = w.sum()
+    if total <= 0:
+        raise SingularDependency("all weights clamped to zero")
+    return w / total
+
+
+@pytest.mark.parametrize("n,npatch", [(1, 1), (2, 27), (5, 125), (9, 125), (20, 343)])
+def test_jlf_weights_batched_matches_single_voxel(n, npatch):
+    rng = np.random.default_rng(40 + n)
+    d = rng.standard_normal((12, n, npatch)) * rng.uniform(0.01, 10.0, size=(12, 1, 1))
+    for kwargs in ({}, {"beta": 1.0}, {"beta": 0.5, "epsilon_scale": 0.5}, {"absolute_epsilon": 1e-3}):
+        ref = np.stack([_reference_weights(x, **kwargs) for x in d])
+        assert np.array_equal(jlf_weights(d, **kwargs), ref)
+        assert np.array_equal(jlf_weights(d.reshape(3, 4, n, npatch), **kwargs), ref.reshape(3, 4, n))
+        assert np.array_equal(jlf_weights(d[5], **kwargs), ref[5])
+
+
+def test_jlf_weights_batched_singular_like_single_voxel():
+    rng = np.random.default_rng(50)
+    d = rng.standard_normal((6, 3, 8))
+    d[4] = 0.0  # M = 0 and epsilon 0: singular
+    with pytest.raises(SingularDependency):
+        _reference_weights(d[4], absolute_epsilon=0.0)
+    with pytest.raises(SingularDependency):
+        jlf_weights(d, absolute_epsilon=0.0)
+    regular = np.delete(d, 4, axis=0)
+    ref = np.stack([_reference_weights(x, absolute_epsilon=0.0) for x in regular])
+    assert np.array_equal(jlf_weights(regular, absolute_epsilon=0.0), ref)
+
+
+def _reference_vote(w, votes):
+    codes = np.unique(votes)
+    acc = np.array([w[votes == c].sum() for c in codes])
+    return codes[int(np.argmax(acc))]
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 13, 20])
+def test_weighted_vote_matches_single_voxel(n):
+    """Exact for every atlas count: numpy sums 8 or more terms pairwise."""
+    rng = np.random.default_rng(60 + n)
+    w = rng.random((400, n))
+    w[::7, 0] = 0.0  # clamped weights
+    w[::5] = 1.0  # equal weights, so codes with equal counts tie
+    w /= w.sum(axis=1, keepdims=True)
+    votes = rng.integers(0, 4, size=(400, n))
+    votes[::3] = rng.integers(0, 2, size=(134, n)) * 5  # two codes only
+    ref = [_reference_vote(wv, vv) for wv, vv in zip(w, votes)]
+    assert np.array_equal(fusion._weighted_vote(w, votes), ref)

@@ -158,6 +158,12 @@ def test_invert_random_diffeo_composition_residual():
     assert float(np.sqrt((res.disp**2).sum(axis=-1)).max()) < 0.05
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_invert_rejects_no_iterations(max_iter):
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        invert_field(DeformationField.zero(GEOM16), max_iter=max_iter)
+
+
 def _expansive_field():
     geom = Geometry((32, 32, 32), np.ones(3), np.eye(4))
     ii = np.indices(geom.dims).transpose(1, 2, 3, 0).astype(float)

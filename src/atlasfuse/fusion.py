@@ -90,8 +90,7 @@ def majority_vote(warped_labels) -> LabelVolume:
         counts[ci] = (stack == code).sum(axis=0)
     # argmax returns the first (lowest-code) maximum because codes is sorted
     winner = codes[np.argmax(counts, axis=0)]
-    ref = warped_labels[0]
-    return LabelVolume(winner.astype(np.int32), ref.affine, ref.spacing, ref.scheme)
+    return warped_labels[0].with_data(winner.astype(np.int32))
 
 
 def jlf_weights(diffs, beta=2.0, epsilon_scale=0.1, absolute_epsilon=None):
@@ -217,8 +216,7 @@ def joint_label_fusion(
     out = stack[0].copy()
     disagree = np.any(stack != stack[0], axis=0)
     if n == 1 or not disagree.any():
-        ref = atlas_labels[0]
-        return LabelVolume(out, ref.affine, ref.spacing, ref.scheme)
+        return atlas_labels[0].with_data(out)
 
     pr, sr = params.patch_radius, params.search_radius
     pad = pr + sr
@@ -247,5 +245,4 @@ def joint_label_fusion(
         c0 += m
 
     out[disagree] = fused  # vox lists the disagreeing voxels in C order
-    ref = atlas_labels[0]
-    return LabelVolume(out, ref.affine, ref.spacing, ref.scheme)
+    return atlas_labels[0].with_data(out)

@@ -151,32 +151,33 @@ class LabelScheme:
             json.dump(rows, f, indent=2)
 
     @classmethod
+    def _from_rows(cls, rows):
+        """Scheme from the dicts to_json writes, one per code."""
+        return cls([LabelEntry(int(r["code"]), r["abbrev"], r["name"], r["hemisphere"]) for r in rows])
+
+    @classmethod
     def from_json(cls, path):
         with open(path) as f:
-            rows = json.load(f)
-        return cls([LabelEntry(int(r["code"]), r["abbrev"], r["name"], r["hemisphere"]) for r in rows])
+            return cls._from_rows(json.load(f))
 
 
 def default_scheme() -> LabelScheme:
     """The shipped 12-structure bilateral thalamic scheme (right 1..12, left +100)."""
     text = resources.files("atlasfuse.data").joinpath("default_scheme.json").read_text()
-    rows = json.loads(text)
-    return LabelScheme(
-        [LabelEntry(int(r["code"]), r["abbrev"], r["name"], r["hemisphere"]) for r in rows]
-    )
+    return LabelScheme._from_rows(json.loads(text))
 
 
-class VolumeGrid:
-    """3D scalar image on a voxel lattice."""
+class _Image:
+    """3-D data on a Geometry: the lattice code VolumeGrid and LabelVolume share."""
 
-    def __init__(self, data, affine, spacing=None):
-        self.data = np.asarray(data, dtype=np.float64)
-        if self.data.ndim != 3:
-            raise GeometryMismatch(f"expected 3D data, got shape {self.data.shape}")
+    def __init__(self, data, affine, spacing):
+        if data.ndim != 3:
+            raise GeometryMismatch(f"expected 3D data, got shape {data.shape}")
         affine = np.asarray(affine, dtype=float)
         if spacing is None:
             spacing = np.linalg.norm(affine[:3, :3], axis=0)
-        self.geometry = Geometry(self.data.shape, spacing, affine)
+        self.data = data
+        self.geometry = Geometry(data.shape, spacing, affine)
 
     @property
     def dims(self):
@@ -190,30 +191,39 @@ class VolumeGrid:
     def affine(self):
         return self.geometry.affine
 
+    def _kept(self) -> dict:
+        """Constructor arguments besides the lattice that a rebuild carries over."""
+        return {}
+
+    def with_data(self, data, geometry: Geometry | None = None):
+        """The same type (and scheme) holding data, on this lattice or on geometry."""
+        geometry = self.geometry if geometry is None else geometry
+        if np.shape(data) != geometry.dims:
+            raise GeometryMismatch(f"data shape {np.shape(data)} is not lattice {geometry.dims}")
+        return type(self)(data, geometry.affine, geometry.spacing, **self._kept())
+
+
+class VolumeGrid(_Image):
+    """3D scalar image on a voxel lattice."""
+
+    def __init__(self, data, affine, spacing=None):
+        super().__init__(np.asarray(data, dtype=np.float64), affine, spacing)
+
     def sample(self, world_pts, interp="trilinear"):
         """Sample at world points; out-of-bounds reads as 0."""
         return _sample_array(self.data, self.geometry, world_pts, interp)
 
-    def with_data(self, data) -> "VolumeGrid":
-        return VolumeGrid(data, self.affine, self.spacing)
 
-
-class LabelVolume:
+class LabelVolume(_Image):
     """3D integer labelmap sharing VolumeGrid geometry; 0 is background."""
 
     def __init__(self, data, affine, spacing=None, scheme: LabelScheme | None = None):
-        self.data = np.asarray(data)
-        if not np.issubdtype(self.data.dtype, np.integer):
+        data = np.asarray(data)
+        if not np.issubdtype(data.dtype, np.integer):
             raise GeometryMismatch("labelmap data must be integer")
-        self.data = self.data.astype(np.int32)
-        if self.data.ndim != 3:
-            raise GeometryMismatch(f"expected 3D data, got shape {self.data.shape}")
+        super().__init__(data.astype(np.int32), affine, spacing)
         if np.any(self.data < 0):
             raise GeometryMismatch("negative label codes")
-        affine = np.asarray(affine, dtype=float)
-        if spacing is None:
-            spacing = np.linalg.norm(affine[:3, :3], axis=0)
-        self.geometry = Geometry(self.data.shape, spacing, affine)
         self.scheme = scheme
         if scheme is not None:
             present = set(np.unique(self.data)) - {0}
@@ -221,25 +231,13 @@ class LabelVolume:
             if unknown:
                 raise GeometryMismatch(f"codes not in scheme: {sorted(unknown)}")
 
-    @property
-    def dims(self):
-        return self.geometry.dims
-
-    @property
-    def spacing(self):
-        return self.geometry.spacing
-
-    @property
-    def affine(self):
-        return self.geometry.affine
+    def _kept(self) -> dict:
+        return {"scheme": self.scheme}
 
     def sample(self, world_pts, interp="nearest"):
         if interp != "nearest":
             raise InterpMismatch("labelmaps support nearest-neighbor only")
         return _sample_array(self.data, self.geometry, world_pts, "nearest")
-
-    def with_data(self, data) -> "LabelVolume":
-        return LabelVolume(data, self.affine, self.spacing, self.scheme)
 
 
 @dataclass
@@ -289,22 +287,11 @@ def resample(source, target_geometry: Geometry, transform=None, interp="trilinea
     transform may be None (identity), an AffineTransform, or a DeformationField
     (both from atlasfuse.register). Labelmaps require interp='nearest'.
     """
-    is_labels = isinstance(source, LabelVolume)
-    if is_labels and interp != "nearest":
-        raise InterpMismatch("labelmaps must be resampled with nearest interpolation")
     pts = target_geometry.grid_world()
     if transform is not None:
         pts = transform.map_points(pts)
-    vals = _sample_array(source.data, source.geometry, pts, interp)
-    vals = vals.reshape(target_geometry.dims)
-    if is_labels:
-        return LabelVolume(
-            np.rint(vals).astype(np.int32),
-            target_geometry.affine,
-            target_geometry.spacing,
-            source.scheme,
-        )
-    return VolumeGrid(vals, target_geometry.affine, target_geometry.spacing)
+    vals = source.sample(pts, interp).reshape(target_geometry.dims)
+    return source.with_data(vals.astype(source.data.dtype, copy=False), target_geometry)
 
 
 def crop(volume, box: CropBox):
@@ -314,9 +301,7 @@ def crop(volume, box: CropBox):
     sub = volume.data[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1]
     affine = volume.affine.copy()
     affine[:3, 3] = volume.geometry.index_to_world([lo])[0]
-    if isinstance(volume, LabelVolume):
-        return LabelVolume(sub.copy(), affine, volume.spacing, volume.scheme)
-    return VolumeGrid(sub.copy(), affine, volume.spacing)
+    return volume.with_data(sub.copy(), Geometry(box.extent, volume.spacing, affine))
 
 
 def uncrop(sub, box: CropBox, full_geometry: Geometry, fill=0):
@@ -327,9 +312,7 @@ def uncrop(sub, box: CropBox, full_geometry: Geometry, fill=0):
     out = np.full(full_geometry.dims, fill, dtype=sub.data.dtype)
     lo, hi = box.lo, box.hi
     out[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1] = sub.data
-    if isinstance(sub, LabelVolume):
-        return LabelVolume(out, full_geometry.affine, full_geometry.spacing, sub.scheme)
-    return VolumeGrid(out, full_geometry.affine, full_geometry.spacing)
+    return sub.with_data(out, full_geometry)
 
 
 def label_bounding_box(labels: LabelVolume, margin: int = 0) -> CropBox:

@@ -6,7 +6,7 @@ Everything is seeded; identical specs produce bit-identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -160,6 +160,25 @@ def random_diffeo(spec: WarpSpec, geometry: Geometry) -> DeformationField:
     return field
 
 
+def _warped_copy(base, spec: WarpSpec, noise_sigma: float, noise_seed: int):
+    """Base pulled through the inverse of random_diffeo(spec), with scan noise.
+
+    Returns (intensity, labels, fwd). The noise is Gaussian with sigma
+    noise_sigma times the warped intensity's range, drawn from noise_seed.
+    """
+    intensity, labels = base
+    geom = intensity.geometry
+    fwd = random_diffeo(spec, geom)
+    inv = invert_field(fwd)
+    wint = _grid.resample(intensity, geom, inv, "trilinear")
+    wlab = _grid.resample(labels, geom, inv, "nearest")
+    if noise_sigma > 0:
+        rng = np.random.default_rng(noise_seed)
+        span = float(np.ptp(wint.data))
+        wint = wint.with_data(wint.data + rng.standard_normal(wint.data.shape) * noise_sigma * span)
+    return wint, wlab, fwd
+
+
 def derive_atlases(
     base,
     n: int = 5,
@@ -179,29 +198,15 @@ def derive_atlases(
     if n < 1:
         raise GeometryMismatch("need n >= 1 priors")
     intensity, labels = base
-    geom = intensity.geometry
     template_spec = warp_spec or WarpSpec()
     priors = []
     back_warped = []
     for i in range(n):
-        ws = WarpSpec(
-            seed=seed * 10007 + i,
-            max_displacement_mm=template_spec.max_displacement_mm,
-            smoothness_mm=template_spec.smoothness_mm,
-            min_jacobian=template_spec.min_jacobian,
-            edge_taper_voxels=template_spec.edge_taper_voxels,
-        )
-        fwd = random_diffeo(ws, geom)
-        inv = invert_field(fwd)
-        pint = _grid.resample(intensity, geom, inv, "trilinear")
-        plab = _grid.resample(labels, geom, inv, "nearest")
-        if noise_sigma > 0:
-            rng = np.random.default_rng(ws.seed + 500009)
-            span = float(np.ptp(pint.data))
-            pint = pint.with_data(pint.data + rng.standard_normal(pint.data.shape) * noise_sigma * span)
+        ws = replace(template_spec, seed=seed * 10007 + i)
+        pint, plab, fwd = _warped_copy(base, ws, noise_sigma, ws.seed + 500009)
         priors.append(AtlasPrior(id=f"prior{i:02d}", intensity=pint, labels=plab, warp_to_template=fwd))
-        back_warped.append(_grid.resample(pint, geom, fwd, "trilinear").data)
-    template = VolumeGrid(np.mean(back_warped, axis=0), geom.affine, geom.spacing)
+        back_warped.append(_grid.resample(pint, intensity.geometry, fwd, "trilinear").data)
+    template = intensity.with_data(np.mean(back_warped, axis=0))
     box = label_bounding_box(labels, margin=crop_margin)
     return AtlasLibrary(template=template, crop_box=box, scheme=labels.scheme, priors=priors)
 
@@ -217,18 +222,8 @@ def make_subject(
     The returned field lives on the base grid and maps base/template points
     into subject space, matching the cached prior-warp convention.
     """
-    intensity, labels = base
-    geom = intensity.geometry
     ws = warp_spec or WarpSpec(seed=seed)
-    fwd = random_diffeo(ws, geom)
-    inv = invert_field(fwd)
-    sint = _grid.resample(intensity, geom, inv, "trilinear")
-    slab = _grid.resample(labels, geom, inv, "nearest")
-    if noise_sigma > 0:
-        rng = np.random.default_rng(ws.seed + 700001)
-        span = float(np.ptp(sint.data))
-        sint = sint.with_data(sint.data + rng.standard_normal(sint.data.shape) * noise_sigma * span)
-    return sint, slab, fwd
+    return _warped_copy(base, ws, noise_sigma, ws.seed + 700001)
 
 
 def synthesized_base(spec: PhantomSpec | None = None, ti_ms: float = 750.0):

@@ -120,6 +120,8 @@ def run_segment(
     fusion = fusion or DEFAULT_FUSION[mode]
     if fusion not in ("jlf", "mv"):
         raise UsageError("fusion must be 'jlf' or 'mv'")
+    if n_workers < 1:
+        raise UsageError("n_workers must be >= 1")
     config = reg_config or RegConfig()
     jparams = jlf_params or JlfParams()
 

@@ -224,7 +224,7 @@ def _downsample(vol: VolumeGrid, factor: int) -> VolumeGrid:
     affine = vol.affine.copy()
     affine[:3, :3] *= factor
     geom = Geometry(dims, vol.spacing * factor, affine)
-    return resample(VolumeGrid(sm, vol.affine, vol.spacing), geom, None, "trilinear")
+    return resample(vol.with_data(sm), geom, None, "trilinear")
 
 
 # --- mutual information ---
@@ -375,6 +375,7 @@ def _check_linear_inputs(fixed, moving):
 
 
 def _register_linear(fixed, moving, config, n_params, p0=None):
+    """(transform, parameter vector) of an n_params-dof MI registration."""
     _check_linear_inputs(fixed, moving)
     center = fixed.geometry.grid_world().mean(axis=0)
     p = np.zeros(n_params)
@@ -407,27 +408,20 @@ def _register_linear(fixed, moving, config, n_params, p0=None):
             config.conv_tol,
             config.conv_window,
         )
-    return AffineTransform(_params_to_matrix(p, center, n_params), _matrix_kind(n_params))
+    return AffineTransform(_params_to_matrix(p, center, n_params), _matrix_kind(n_params)), p
 
 
 def register_rigid(fixed: VolumeGrid, moving: VolumeGrid, config: RegConfig | None = None):
     """6-dof rigid registration maximizing mutual information."""
     config = config or RegConfig()
-    return _register_linear(fixed, moving, config, 6)
+    return _register_linear(fixed, moving, config, 6)[0]
 
 
 def register_affine(fixed: VolumeGrid, moving: VolumeGrid, config: RegConfig | None = None):
-    """12-dof affine registration, initialized from a rigid stage."""
+    """12-dof affine registration, seeded with the rigid stage's parameters."""
     config = config or RegConfig()
-    rigid = _register_linear(fixed, moving, config, 6)
-    # re-extract translation/rotation seed from the rigid result
-    center = fixed.geometry.grid_world().mean(axis=0)
-    r = rigid.matrix[:3, :3]
-    ry = -np.arcsin(np.clip(r[2, 0], -1, 1))
-    rx = np.arctan2(r[2, 1], r[2, 2])
-    rz = np.arctan2(r[1, 0], r[0, 0])
-    t = rigid.matrix[:3, 3] - (center - r @ center)
-    return _register_linear(fixed, moving, config, 12, p0=np.r_[t, rx, ry, rz])
+    _, rigid_p = _register_linear(fixed, moving, config, 6)
+    return _register_linear(fixed, moving, config, 12, p0=rigid_p)[0]
 
 
 # --- deformable (LNCC demons) ---
@@ -490,7 +484,6 @@ def register_deformable(
     if sum(config.deform_iters[: len(config.shrink_factors)]) == 0:
         return field_from_affine(init, fixed.geometry)
     field = None
-    converged = True
     for factor, iters in zip(config.shrink_factors, config.deform_iters):
         f_l = _downsample(fixed, factor)
         m_l = _downsample(moving, factor)
@@ -529,13 +522,9 @@ def register_deformable(
             update = _smooth_field(force * (step / peak), config.sigma_update)
             field = compose_fields(DeformationField(geom, update), field)
             field = DeformationField(geom, _smooth_field(field.disp, config.sigma_total))
-        else:
-            converged = len(history) > 0
     frac = field.positive_jacobian_fraction()
     if frac < config.jacobian_threshold:
         raise FoldingDetected(
             f"positive-Jacobian fraction {frac:.4f} below {config.jacobian_threshold}"
         )
-    field.converged = converged
-    field.positive_fraction = frac
     return field

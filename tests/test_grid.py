@@ -171,6 +171,50 @@ def test_uncrop_extent_mismatch():
         uncrop(sub, CropBox((0, 0, 0), (4, 4, 4)), Geometry((8, 8, 8), np.ones(3), np.eye(4)))
 
 
+def _image(kind):
+    """A 10^3 intensity image or a labelmap with a scheme, on an anisotropic lattice."""
+    rng = np.random.default_rng(9)
+    aff = np.diag([0.8, 1.2, 1.0, 1.0])
+    aff[:3, 3] = (3.0, -1.0, 2.5)
+    if kind == "intensity":
+        return VolumeGrid(rng.standard_normal((10, 10, 10)), aff)
+    scheme = LabelScheme([LabelEntry(1, "A", "a", "right"), LabelEntry(2, "B", "b", "left")])
+    return LabelVolume(rng.integers(0, 3, size=(10, 10, 10), dtype=np.int32), aff, scheme=scheme)
+
+
+@pytest.mark.parametrize("kind", ["intensity", "labels"])
+def test_crop_uncrop_resample_keep_type_dtype_and_scheme(kind):
+    img = _image(kind)
+    box = CropBox((1, 2, 3), (8, 7, 9))
+    sub = crop(img, box)
+    full = uncrop(sub, box, img.geometry)
+    target = Geometry((6, 5, 4), np.full(3, 1.5), np.diag([1.5, 1.5, 1.5, 1.0]))
+    interp = "trilinear" if kind == "intensity" else "nearest"
+    moved = resample(full, target, _translation((0.3, -0.7, 1.2)), interp)
+    assert sub.dims == box.extent
+    assert full.geometry.close_to(img.geometry)
+    assert moved.geometry.close_to(target)
+    for out in (sub, full, moved):
+        assert type(out) is type(img)
+        assert out.data.dtype == img.data.dtype
+        assert getattr(out, "scheme", None) is getattr(img, "scheme", None)
+
+
+@pytest.mark.parametrize("kind", ["intensity", "labels"])
+def test_with_data_checks_the_lattice(kind):
+    img = _image(kind)
+    small = np.zeros((4, 4, 4), dtype=img.data.dtype)
+    other = Geometry((4, 4, 4), img.spacing, img.affine)
+    with pytest.raises(GeometryMismatch):
+        img.with_data(small)
+    with pytest.raises(GeometryMismatch):
+        img.with_data(img.data, other)
+    out = img.with_data(small, other)
+    assert type(out) is type(img)
+    assert out.geometry.close_to(other)
+    assert getattr(out, "scheme", None) is getattr(img, "scheme", None)
+
+
 def test_label_bounding_box_examples():
     data = np.zeros((64, 64, 64), dtype=np.int32)
     data[10, 10, 10] = 1

@@ -286,3 +286,15 @@ def test_cli_stats_reports_threshold(tmp_path):
     code = main(["stats", "--csv-a", str(tmp_path / "a.csv"), "--csv-b", str(tmp_path / "b.csv"), "--out", out_csv])
     assert code == 0
     assert os.path.isfile(out_csv)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_segment_rejects_fewer_than_one_worker(tmp_path, workers):
+    """The worker count is checked before anything is read or computed."""
+    missing_input, missing_atlas = str(tmp_path / "in.nii.gz"), str(tmp_path / "atlas")
+    with pytest.raises(UsageError):
+        run_segment(missing_input, missing_atlas, str(tmp_path / "o"), n_workers=workers)
+    args = ["segment", "--input", missing_input, "--atlas", missing_atlas, "--out-dir", str(tmp_path / "o")]
+    assert main(args + ["--workers", str(workers)]) == 1
+    assert main(args + ["--workers", "1"]) == 2  # the same call with one worker fails on the data
+    assert not (tmp_path / "o").exists()

@@ -15,7 +15,7 @@ from . import __version__, imgio
 from .errors import AtlasFuseError, NumericalError, UsageError
 from .fusion import JlfParams
 from .phantom import PhantomSpec, WarpSpec, derive_atlases, make_subject, synthesized_base
-from .pipeline import run_eval, run_segment, run_stats
+from .pipeline import DEFAULT_FUSION, run_eval, run_segment, run_stats
 from .register import RegConfig
 from .synth import SynthesisParams, synthesize_wmn
 
@@ -26,17 +26,21 @@ def _load_config_file(path):
 
 
 def _reg_config(cfg: dict) -> RegConfig:
-    known = {k: v for k, v in cfg.get("reg_config", {}).items()}
-    if "shrink_factors" in known:
-        known["shrink_factors"] = tuple(known["shrink_factors"])
-    for key in ("linear_iters", "deform_iters"):
-        if key in known:
-            known[key] = tuple(known[key])
-    return RegConfig(**known)
+    try:
+        known = dict(cfg.get("reg_config", {}))
+        for key in ("shrink_factors", "linear_iters", "deform_iters"):
+            if key in known:
+                known[key] = tuple(known[key])
+        return RegConfig(**known)
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"bad reg_config: {e}") from e
 
 
 def _jlf_params(cfg: dict) -> JlfParams:
-    return JlfParams(**cfg.get("jlf_params", {}))
+    try:
+        return JlfParams(**cfg.get("jlf_params", {}))
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"bad jlf_params: {e}") from e
 
 
 def cmd_synth(args):
@@ -133,7 +137,7 @@ def build_parser():
     pg.add_argument("--input", required=True)
     pg.add_argument("--atlas", required=True)
     pg.add_argument("--out-dir", required=True)
-    pg.add_argument("--mode", choices=("wmn", "mp2syn", "mp2uni"), default=None)
+    pg.add_argument("--mode", choices=tuple(DEFAULT_FUSION), default=None)
     pg.add_argument("--fusion", choices=("jlf", "mv"), default=None)
     pg.add_argument("--config", default=None, help="JSON config mirroring the run manifest")
     pg.add_argument("--true-warp", default=None, help="bypass registration with a known warp")

@@ -51,12 +51,6 @@ class Geometry:
         if abs(np.linalg.det(self.affine[:3, :3])) <= _DET_EPS:
             raise NonInvertibleTransform("affine 3x3 block is singular")
 
-    @classmethod
-    def from_affine(cls, dims, affine) -> "Geometry":
-        affine = np.asarray(affine, dtype=float)
-        spacing = np.linalg.norm(affine[:3, :3], axis=0)
-        return cls(tuple(dims), spacing, affine)
-
     @property
     def voxel_volume(self) -> float:
         return float(np.prod(self.spacing))

@@ -6,7 +6,7 @@ Layout:
     scheme.json
     priors/<id>/intensity.nii.gz
     priors/<id>/labels.nii.gz
-    priors/<id>/warp_to_template.nii.gz   (optional cache)
+    priors/<id>/warp_to_template.nii.gz   (optional cache, written only by save)
 
 Priors are always loaded in sorted id order so downstream results do not
 depend on directory listing order.
@@ -21,6 +21,10 @@ from dataclasses import dataclass, field
 from .atomic import atomic_open
 from .errors import MissingFile
 from .grid import CropBox, LabelScheme, LabelVolume, VolumeGrid
+
+
+def template_path(atlas_dir):
+    return os.path.join(atlas_dir, "template.nii.gz")
 
 
 @dataclass
@@ -42,7 +46,7 @@ class AtlasLibrary:
         from . import imgio
 
         os.makedirs(out_dir, exist_ok=True)
-        imgio.write_volume(self.template, os.path.join(out_dir, "template.nii.gz"))
+        imgio.write_volume(self.template, template_path(out_dir))
         with atomic_open(os.path.join(out_dir, "cropbox.json")) as f:
             json.dump(self.crop_box.to_dict(), f, indent=2)
         self.scheme.to_json(os.path.join(out_dir, "scheme.json"))
@@ -60,7 +64,7 @@ class AtlasLibrary:
     def load(cls, atlas_dir) -> "AtlasLibrary":
         from . import imgio
 
-        tpath = os.path.join(atlas_dir, "template.nii.gz")
+        tpath = template_path(atlas_dir)
         if not os.path.isfile(tpath):
             raise MissingFile(tpath)
         template = imgio.read_volume(tpath)

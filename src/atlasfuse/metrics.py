@@ -33,16 +33,15 @@ def _require_common_grid(a: LabelVolume, b: LabelVolume):
         raise GeometryMismatch("labelmaps are not on a common grid; resample first")
 
 
-def _masks(a, b, code):
-    if code == WHOLE_THALAMUS_CODE:
-        return a.data > 0, b.data > 0
-    return a.data == code, b.data == code
+def _mask(labels: LabelVolume, code) -> np.ndarray:
+    """Voxels of one structure; the whole thalamus is every nonzero code."""
+    return labels.data > 0 if code == WHOLE_THALAMUS_CODE else labels.data == code
 
 
 def dice(a: LabelVolume, b: LabelVolume, code) -> float:
     """2|A^B| / (|A|+|B|); 1 when both empty, 0 when exactly one is."""
     _require_common_grid(a, b)
-    ma, mb = _masks(a, b, code)
+    ma, mb = _mask(a, code), _mask(b, code)
     na, nb = int(ma.sum()), int(mb.sum())
     if na + nb == 0:
         return 1.0
@@ -52,7 +51,7 @@ def dice(a: LabelVolume, b: LabelVolume, code) -> float:
 def vsi(a: LabelVolume, b: LabelVolume, code) -> float:
     """1 - ||A|-|B|| / (|A|+|B|); 1 when both empty."""
     _require_common_grid(a, b)
-    ma, mb = _masks(a, b, code)
+    ma, mb = _mask(a, code), _mask(b, code)
     na, nb = int(ma.sum()), int(mb.sum())
     if na + nb == 0:
         return 1.0
@@ -61,8 +60,7 @@ def vsi(a: LabelVolume, b: LabelVolume, code) -> float:
 
 def centroid(labels: LabelVolume, code) -> np.ndarray:
     """World-mm centroid of a structure's voxel centers."""
-    mask = labels.data > 0 if code == WHOLE_THALAMUS_CODE else labels.data == code
-    idx = np.argwhere(mask)
+    idx = np.argwhere(_mask(labels, code))
     if idx.size == 0:
         raise EmptyStructure(f"code {code} absent")
     return labels.geometry.index_to_world(idx).mean(axis=0)
@@ -75,8 +73,7 @@ def centroid_distance(a: LabelVolume, b: LabelVolume, code) -> float:
 
 def nucleus_volume(labels: LabelVolume, code) -> float:
     """Structure volume in mm^3 (0 for an absent code)."""
-    mask = labels.data > 0 if code == WHOLE_THALAMUS_CODE else labels.data == code
-    return float(mask.sum()) * labels.geometry.voxel_volume
+    return float(_mask(labels, code).sum()) * labels.geometry.voxel_volume
 
 
 @dataclass

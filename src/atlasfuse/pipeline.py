@@ -24,7 +24,7 @@ from .errors import GeometryMismatch, InsufficientSubjects, RowMismatch, UsageEr
 from .fusion import JlfParams, joint_label_fusion, majority_vote
 from .grid import CropBox, crop, resample, uncrop
 from .grid import default_scheme as grid_default_scheme
-from .library import AtlasLibrary
+from .library import AtlasLibrary, template_path
 from .metrics import (
     WHOLE_THALAMUS_CODE,
     bonferroni_threshold,
@@ -45,7 +45,7 @@ from .register import (
     warp_labels,
 )
 
-MODES = ("wmn", "mp2syn", "mp2uni")
+# each mode and the fusion it selects when none is given; nothing else differs
 DEFAULT_FUSION = {"wmn": "jlf", "mp2syn": "jlf", "mp2uni": "mv"}
 
 
@@ -63,7 +63,6 @@ class RunManifest:
     fusion: str
     reg_config: dict
     jlf_params: dict
-    synthesis: dict
     input_hashes: dict
     tool_version: str
     notes: dict = field(default_factory=dict)
@@ -92,14 +91,13 @@ def _transfer_crop_box(box: CropBox, template, rigid: AffineTransform, input_vol
     return CropBox(lo, hi).clipped(input_vol.dims)
 
 
-def _prior_warp(prior, lib, config):
-    """Cached prior->template field, computing it when absent."""
+def _prior_warp(prior, t_crop, lib, config):
+    """Prior->template field: the cached one, or the prior registered onto t_crop in memory."""
     if prior.warp_to_template is not None:
-        return prior.warp_to_template, False
-    t_crop = crop(lib.template, lib.crop_box)
+        return prior.warp_to_template
     p_crop = crop(prior.intensity, lib.crop_box)
     d = register_deformable(t_crop, p_crop, AffineTransform.identity(), config)
-    return resample_field(d, lib.template.geometry), True
+    return resample_field(d, lib.template.geometry)
 
 
 def run_segment(
@@ -114,9 +112,14 @@ def run_segment(
     n_workers: int = 1,
     tool_version: str = "unknown",
 ):
-    """Run the full multi-atlas segmentation; returns paths of written files."""
-    if mode not in MODES:
-        raise UsageError(f"mode must be one of {MODES}")
+    """Run the full multi-atlas segmentation; returns paths of written files.
+
+    The atlas library is only read. A prior without a cached warp is
+    registered to the template in memory, and its id is listed under
+    ``notes.computed_prior_warps`` in the manifest.
+    """
+    if mode not in DEFAULT_FUSION:
+        raise UsageError(f"mode must be one of {tuple(DEFAULT_FUSION)}")
     fusion = fusion or DEFAULT_FUSION[mode]
     if fusion not in ("jlf", "mv"):
         raise UsageError("fusion must be 'jlf' or 'mv'")
@@ -146,11 +149,10 @@ def run_segment(
 
     # (4) two-step prior warping, parallel over priors
     def _warp_prior(prior):
-        pwarp, computed = _prior_warp(prior, lib, config)
-        total = compose_fields(inv, pwarp)
+        total = compose_fields(inv, _prior_warp(prior, t_crop, lib, config))
         wl = warp_labels(prior.labels, total, in_crop.geometry)
         wi = resample(prior.intensity, in_crop.geometry, total, "trilinear")
-        return wl, wi, (prior, pwarp, computed)
+        return wl, wi
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as ex:
@@ -160,10 +162,6 @@ def run_segment(
 
     warped_labels = [r[0] for r in results]
     warped_ints = [r[1] for r in results]
-    for prior, pwarp, computed in (r[2] for r in results):
-        if computed:
-            pdir = os.path.join(atlas_dir, "priors", prior.id)
-            imgio.write_field(pwarp, os.path.join(pdir, "warp_to_template.nii.gz"))
 
     # (5) fuse
     if fusion == "mv":
@@ -194,15 +192,15 @@ def run_segment(
         fusion=fusion,
         reg_config=asdict(config),
         jlf_params=asdict(jparams),
-        synthesis={},
         input_hashes={
             "input": _sha256(input_path),
-            "template": _sha256(os.path.join(atlas_dir, "template.nii.gz")),
+            "template": _sha256(template_path(atlas_dir)),
         },
         tool_version=tool_version,
         notes={
             "true_warp": bool(true_warp_path),
             "crop_box_input": CropBox(in_box.lo, in_box.hi).to_dict(),
+            "computed_prior_warps": sorted(p.id for p in lib.priors if p.warp_to_template is None),
             "label_interpolation": "nearest",
         },
     )
@@ -247,28 +245,25 @@ def run_eval(
 
 
 def _read_metrics_csv(path, metric):
-    rows = {}
+    """(subject, code) -> metric value or None, and code -> label name."""
+    rows, names = {}, {}
     with open(path, newline="") as f:
         for row in csv.DictReader(f):
-            key = (row["subject_id"], int(row["label_code"]))
+            code = int(row["label_code"])
             val = row[metric]
-            rows[key] = float(val) if val != "" else None
-    return rows
+            rows[(row["subject_id"], code)] = float(val) if val != "" else None
+            names[code] = row["label_name"]
+    return rows, names
 
 
 def run_stats(csv_a_path, csv_b_path, out_path, m=13, metric="dice"):
     """Per-label paired t-tests of metric A vs B across subjects."""
-    a = _read_metrics_csv(csv_a_path, metric)
-    b = _read_metrics_csv(csv_b_path, metric)
+    a, names = _read_metrics_csv(csv_a_path, metric)
+    b, _ = _read_metrics_csv(csv_b_path, metric)
     if set(a) != set(b):
         raise RowMismatch("subject/label rows differ between the two CSVs")
-    labels = sorted({code for _, code in a})
-    names = {}
-    with open(csv_a_path, newline="") as f:
-        for row in csv.DictReader(f):
-            names[int(row["label_code"])] = row["label_name"]
     results = []
-    for code in labels:
+    for code in sorted(names):
         subjects = sorted(s for s, c in a if c == code)
         xs = [a[(s, code)] for s in subjects]
         ys = [b[(s, code)] for s in subjects]

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used in it."""
+"""Source hygiene: every name a package module imports is used in it, and
+every function, class and method the package defines is referenced."""
 
 import ast
 import pathlib
@@ -35,3 +36,52 @@ def test_module_has_no_unused_imports(path):
 def test_unused_import_scan_catches_an_unused_name():
     source = "import os\nimport numpy as np\nfrom json import dumps, loads\nx = np.zeros(1)\ny = loads\n"
     assert unused_imports(source) == ["dumps (line 3)", "os (line 1)"]
+
+
+def unreferenced_definitions(defining: dict, referencing: list) -> list:
+    """Functions, classes and methods in the `defining` sources (name -> source)
+    that no Name, Attribute or import alias in the `referencing` sources names.
+
+    Dunders are left out: the language calls them.
+    """
+    refs = set()
+    for source in referencing:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name):
+                refs.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                refs.add(n.attr)
+            elif isinstance(n, ast.alias):
+                refs.add(n.name.split(".")[-1])
+    dead = []
+    for module, source in defining.items():
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                if not (n.name.startswith("__") and n.name.endswith("__")) and n.name not in refs:
+                    dead.append(f"{module}.{n.name} (line {n.lineno})")
+    return sorted(dead)
+
+
+def test_package_defines_nothing_unreferenced():
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    tests = [p.read_text() for p in sorted(pathlib.Path(__file__).parent.glob("*.py"))]
+    assert unreferenced_definitions(package, [*package.values(), *tests]) == []
+
+
+def test_unreferenced_definition_scan_catches_a_dead_method():
+    source = (
+        "from m import helper\n"
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.used()\n"
+        "    def used(self):\n"
+        "        pass\n"
+        "    def dead(self):\n"
+        "        pass\n"
+        "def helper():\n"
+        "    pass\n"
+        "def orphan():\n"
+        "    pass\n"
+        "A()\n"
+    )
+    assert unreferenced_definitions({"m": source}, [source]) == ["m.dead (line 7)", "m.orphan (line 11)"]

@@ -12,14 +12,25 @@ import pytest
 from atlasfuse import imgio
 from atlasfuse.cli import main
 from atlasfuse.errors import UsageError
-from atlasfuse.grid import crop, default_scheme, label_bounding_box
+from atlasfuse.grid import CropBox, crop, default_scheme, label_bounding_box
 from atlasfuse.metrics import dice
-from atlasfuse.phantom import WarpSpec, derive_atlases, synthesized_base
+from atlasfuse.phantom import WarpSpec, derive_atlases, make_subject, synthesized_base
 from atlasfuse.pipeline import run_eval, run_segment, run_stats
 
 
 def _sha(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def _tree_sha(root):
+    """sha256 over the relative names and bytes of every file under root."""
+    h = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            full = os.path.join(dirpath, name)
+            h.update(os.path.relpath(full, root).encode() + b"\0" + _sha(full).encode())
+    return h.hexdigest()
 
 
 # --- run_segment ---
@@ -35,6 +46,7 @@ def test_segment_outputs_exist_and_manifest_is_self_describing(segment_run, atla
     assert set(man["input_hashes"]) == {"input", "template"}
     assert man["input_hashes"]["input"] == _sha(atlas_env["subject"])
     assert man["notes"]["label_interpolation"] == "nearest"
+    assert man["notes"]["computed_prior_warps"] == []  # every prior warp was cached
 
 
 def test_segment_volumes_csv_matches_segmentation(segment_run):
@@ -95,6 +107,28 @@ def test_segment_atlas_order_independence(tmp_path, atlas_env):
     out_a = run_segment(atlas_env["subject"], src, str(tmp_path / "a"), **kwargs)
     out_b = run_segment(atlas_env["subject"], dst, str(tmp_path / "b"), **kwargs)
     assert _sha(out_a["segmentation"]) == _sha(out_b["segmentation"])
+
+
+def test_segment_registers_uncached_prior_warps_without_writing_the_library(tmp_path, base):
+    """A warp-free library is only read: its priors are registered in memory."""
+    wmn, truth, _ = base
+    box = CropBox((3, 1, 7), (34, 32, 38))  # a 32^3 box holding right-side nuclei 1, 2, 4 and 5
+    small = crop(wmn, box), crop(truth, box)
+    lib = derive_atlases(small, n=2, seed=7)
+    for prior in lib.priors:
+        prior.warp_to_template = None
+    atlas = str(tmp_path / "atlas")
+    lib.save(atlas)
+    subject, subject_truth, warp = make_subject(small, seed=2024)
+    inp, warp_path = str(tmp_path / "in.nii.gz"), str(tmp_path / "warp.nii.gz")
+    imgio.write_volume(subject, inp)
+    imgio.write_field(warp, warp_path)
+    before = _tree_sha(atlas)
+    out = run_segment(inp, atlas, str(tmp_path / "out"), fusion="mv", true_warp_path=warp_path)
+    assert _tree_sha(atlas) == before
+    assert json.load(open(out["manifest"]))["notes"]["computed_prior_warps"] == ["prior00", "prior01"]
+    seg = imgio.read_volume(out["segmentation"], as_labels=True)
+    assert dice(seg, subject_truth, -1) > 0.85
 
 
 def test_segment_bad_mode_rejected(tmp_path, atlas_env):
@@ -286,6 +320,19 @@ def test_cli_stats_reports_threshold(tmp_path):
     code = main(["stats", "--csv-a", str(tmp_path / "a.csv"), "--csv-b", str(tmp_path / "b.csv"), "--out", out_csv])
     assert code == 0
     assert os.path.isfile(out_csv)
+
+
+@pytest.mark.parametrize(
+    "config", [{"reg_config": {"bogus": 1}}, {"jlf_params": {"beta": 0}}], ids=["unknown-key", "bad-value"]
+)
+def test_segment_bad_config_exits_1(tmp_path, capsys, config):
+    """A config the parameter classes reject is a usage error, reported before any data is read."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    missing_input, missing_atlas = str(tmp_path / "in.nii.gz"), str(tmp_path / "atlas")
+    args = ["segment", "--input", missing_input, "--atlas", missing_atlas, "--out-dir", str(tmp_path / "o")]
+    assert main(args + ["--config", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
 
 
 @pytest.mark.parametrize("workers", [0, -3])

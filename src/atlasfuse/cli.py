@@ -21,8 +21,14 @@ from .synth import SynthesisParams, synthesize_wmn
 
 
 def _load_config_file(path):
-    with open(path) as f:
-        return json.load(f)
+    try:
+        with open(path) as f:
+            cfg = json.load(f)
+    except (OSError, ValueError) as e:
+        raise UsageError(f"cannot read config {path}: {e}") from e
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {path} must hold a JSON object")
+    return cfg
 
 
 def _reg_config(cfg: dict) -> RegConfig:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyAtlasList, GeometryMismatch, SingularDependency
-from .grid import LabelVolume, VolumeGrid
+from .grid import LabelVolume, VolumeGrid, require_common_grid
 
 _CHUNK = 256  # disagreeing voxels scored together; (chunk x patch) buffers stay in cache
 _WINDOW_CAP = 1 << 20  # float64 elements in one z-scored centre window (8 MiB)
@@ -70,19 +70,11 @@ class JlfParams:
             raise ValueError("epsilon must be > 0")
 
 
-def _check_common_grid(volumes):
-    g0 = volumes[0].geometry
-    for v in volumes[1:]:
-        if not v.geometry.close_to(g0):
-            raise GeometryMismatch("inputs are not on a common grid")
-    return g0
-
-
 def majority_vote(warped_labels) -> LabelVolume:
     """Per-voxel most frequent code; ties go to the lowest code (0 competes)."""
     if not warped_labels:
         raise EmptyAtlasList("need at least one atlas labelmap")
-    _check_common_grid(warped_labels)
+    require_common_grid(*warped_labels)
     stack = np.stack([lv.data for lv in warped_labels], axis=0)
     codes = np.unique(stack)
     counts = np.zeros((len(codes),) + stack.shape[1:], dtype=np.int32)
@@ -210,7 +202,7 @@ def joint_label_fusion(
         raise EmptyAtlasList("need at least one atlas")
     if len(atlas_intensities) != len(atlas_labels):
         raise GeometryMismatch("intensity and label lists differ in length")
-    _check_common_grid([target, *atlas_intensities, *atlas_labels])
+    require_common_grid(target, *atlas_intensities, *atlas_labels)
     n = len(atlas_labels)
     stack = np.stack([lv.data for lv in atlas_labels], axis=0)
     out = stack[0].copy()

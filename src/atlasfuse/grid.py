@@ -11,6 +11,7 @@ Conventions used throughout the toolkit:
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -78,16 +79,7 @@ class Geometry:
 
     def world_bounds(self):
         """Axis-aligned world bounding box of the voxel-center lattice."""
-        corners = np.array(
-            [
-                (i, j, k)
-                for i in (0, self.dims[0] - 1)
-                for j in (0, self.dims[1] - 1)
-                for k in (0, self.dims[2] - 1)
-            ],
-            dtype=float,
-        )
-        w = self.index_to_world(corners)
+        w = self.index_to_world(CropBox((0, 0, 0), np.subtract(self.dims, 1)).corners())
         return w.min(axis=0), w.max(axis=0)
 
     def close_to(self, other: "Geometry", tol: float = 1e-5) -> bool:
@@ -256,12 +248,23 @@ class CropBox:
     def extent(self):
         return tuple(b - a + 1 for a, b in zip(self.lo, self.hi))
 
+    def corners(self) -> np.ndarray:
+        """The 8 corner voxel indices, shape (8, 3), as floats."""
+        return np.array(list(itertools.product(*zip(self.lo, self.hi))), dtype=float)
+
     def to_dict(self):
         return {"lo": list(self.lo), "hi": list(self.hi)}
 
     @classmethod
     def from_dict(cls, d):
         return cls(tuple(d["lo"]), tuple(d["hi"]))
+
+
+def require_common_grid(*volumes):
+    """Raise GeometryMismatch unless every volume lies on the first one's lattice."""
+    g0 = volumes[0].geometry
+    if not all(v.geometry.close_to(g0) for v in volumes[1:]):
+        raise GeometryMismatch("inputs are not on a common grid; resample first")
 
 
 def _sample_array(data, geometry: Geometry, world_pts, interp):

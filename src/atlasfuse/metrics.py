@@ -22,15 +22,10 @@ from .errors import (
     InsufficientSubjects,
     LengthMismatch,
 )
-from .grid import LabelScheme, LabelVolume
+from .grid import LabelScheme, LabelVolume, require_common_grid
 
 WHOLE_THALAMUS_CODE = -1
 DEFAULT_COMPARISONS = 13  # 12 nuclei + whole thalamus
-
-
-def _require_common_grid(a: LabelVolume, b: LabelVolume):
-    if not a.geometry.close_to(b.geometry):
-        raise GeometryMismatch("labelmaps are not on a common grid; resample first")
 
 
 def _mask(labels: LabelVolume, code) -> np.ndarray:
@@ -40,7 +35,7 @@ def _mask(labels: LabelVolume, code) -> np.ndarray:
 
 def dice(a: LabelVolume, b: LabelVolume, code) -> float:
     """2|A^B| / (|A|+|B|); 1 when both empty, 0 when exactly one is."""
-    _require_common_grid(a, b)
+    require_common_grid(a, b)
     ma, mb = _mask(a, code), _mask(b, code)
     na, nb = int(ma.sum()), int(mb.sum())
     if na + nb == 0:
@@ -50,7 +45,7 @@ def dice(a: LabelVolume, b: LabelVolume, code) -> float:
 
 def vsi(a: LabelVolume, b: LabelVolume, code) -> float:
     """1 - ||A|-|B|| / (|A|+|B|); 1 when both empty."""
-    _require_common_grid(a, b)
+    require_common_grid(a, b)
     ma, mb = _mask(a, code), _mask(b, code)
     na, nb = int(ma.sum()), int(mb.sum())
     if na + nb == 0:
@@ -67,7 +62,7 @@ def centroid(labels: LabelVolume, code) -> np.ndarray:
 
 
 def centroid_distance(a: LabelVolume, b: LabelVolume, code) -> float:
-    _require_common_grid(a, b)
+    require_common_grid(a, b)
     return float(np.linalg.norm(centroid(a, code) - centroid(b, code)))
 
 
@@ -172,7 +167,7 @@ def build_report(
     aggregate_hemispheres: bool = False,
 ) -> SegmentationReport:
     """Per-structure metrics plus a whole-thalamus row (union of all codes)."""
-    _require_common_grid(seg_a, seg_b)
+    require_common_grid(seg_a, seg_b)
     scheme = scheme or seg_a.scheme or seg_b.scheme
     if scheme is None:
         raise GeometryMismatch("no label scheme available for the report")

@@ -9,12 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import JacobianViolation, OverlappingNuclei, GeometryMismatch
 from .grid import Geometry, LabelVolume, VolumeGrid, default_scheme, label_bounding_box
 from .library import AtlasLibrary, AtlasPrior
-from .register import DeformationField, invert_field
+from .register import DeformationField, _smooth_field, invert_field
 from . import grid as _grid
 from .synth import SynthesisParams, synthesize_wmn
 
@@ -129,10 +128,7 @@ def random_diffeo(spec: WarpSpec, geometry: Geometry) -> DeformationField:
     if spec.max_displacement_mm == 0:
         return DeformationField.zero(geometry)
     rng = np.random.default_rng(spec.seed)
-    raw = rng.standard_normal(geometry.dims + (3,))
-    sig_vox = spec.smoothness_mm / geometry.spacing
-    for a in range(3):
-        raw[..., a] = gaussian_filter(raw[..., a], sigma=sig_vox, mode="nearest")
+    raw = _smooth_field(rng.standard_normal(geometry.dims + (3,)), spec.smoothness_mm / geometry.spacing)
     if spec.edge_taper_voxels > 0:
         # zero displacement at the boundary keeps the warp self-contained:
         # composition and fixed-point inversion never sample outside the lattice

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -57,33 +57,9 @@ def _sha256(path):
     return h.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    mode: str
-    fusion: str
-    reg_config: dict
-    jlf_params: dict
-    input_hashes: dict
-    tool_version: str
-    notes: dict = field(default_factory=dict)
-
-    def save(self, path):
-        with atomic_open(path) as f:
-            json.dump(asdict(self), f, indent=2, sort_keys=True)
-
-
 def _transfer_crop_box(box: CropBox, template, rigid: AffineTransform, input_vol) -> CropBox:
     """Map the template crop box into input voxel indices via the rigid result."""
-    corners = np.array(
-        [
-            (i, j, k)
-            for i in (box.lo[0], box.hi[0])
-            for j in (box.lo[1], box.hi[1])
-            for k in (box.lo[2], box.hi[2])
-        ],
-        dtype=float,
-    )
-    w_template = template.geometry.index_to_world(corners)
+    w_template = template.geometry.index_to_world(box.corners())
     w_input = rigid.inverse().map_points(w_template)
     idx = input_vol.geometry.world_to_index(w_input)
     lo = np.floor(idx.min(axis=0)).astype(int)
@@ -187,25 +163,26 @@ def run_segment(
             w.writerow([code, e.abbrev, f"{nucleus_volume(seg_full, code):.6f}"])
     written.append(vol_path)
 
-    manifest = RunManifest(
-        mode=mode,
-        fusion=fusion,
-        reg_config=asdict(config),
-        jlf_params=asdict(jparams),
-        input_hashes={
+    manifest = {
+        "mode": mode,
+        "fusion": fusion,
+        "reg_config": asdict(config),
+        "jlf_params": asdict(jparams),
+        "input_hashes": {
             "input": _sha256(input_path),
             "template": _sha256(template_path(atlas_dir)),
         },
-        tool_version=tool_version,
-        notes={
+        "tool_version": tool_version,
+        "notes": {
             "true_warp": bool(true_warp_path),
-            "crop_box_input": CropBox(in_box.lo, in_box.hi).to_dict(),
+            "crop_box_input": in_box.to_dict(),
             "computed_prior_warps": sorted(p.id for p in lib.priors if p.warp_to_template is None),
             "label_interpolation": "nearest",
         },
-    )
+    }
     man_path = os.path.join(out_dir, "manifest.json")
-    manifest.save(man_path)
+    with atomic_open(man_path) as f:
+        json.dump(manifest, f, indent=2, sort_keys=True)
     written.append(man_path)
     return {"segmentation": seg_path, "volumes": vol_path, "manifest": man_path, "written": written}
 

@@ -14,13 +14,11 @@ both the update and the accumulated field.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, map_coordinates
+from scipy.ndimage import gaussian_filter, map_coordinates, uniform_filter
 
-from .atomic import atomic_open
 from .errors import (
     DegenerateInput,
     FoldingDetected,
@@ -68,16 +66,6 @@ class AffineTransform:
         kind = "rigid" if self.kind == other.kind == "rigid" else "affine"
         return AffineTransform(self.matrix @ other.matrix, kind)
 
-    def to_json(self, path):
-        with atomic_open(path) as f:
-            json.dump({"kind": self.kind, "matrix": self.matrix.tolist()}, f, indent=2)
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as f:
-            d = json.load(f)
-        return cls(np.array(d["matrix"]), d["kind"])
-
 
 class DeformationField:
     """Per-voxel mm displacement on a fixed-image lattice (pull-back)."""
@@ -91,8 +79,6 @@ class DeformationField:
             )
         if not np.all(np.isfinite(self.disp)):
             raise NonInvertibleTransform("non-finite displacement components")
-        self.converged = True
-        self.residual_mm = 0.0
 
     @classmethod
     def zero(cls, geometry: Geometry):
@@ -156,7 +142,8 @@ def invert_field(field: DeformationField, tol_mm=0.01, max_iter=50) -> Deformati
     The sample h = f(x + g_k) that measures g_k's residual is also the next
     iterate, g_{k+1} = -h (Chen et al., "A simple fixed-point approach to
     invert a deformation field", Med. Phys. 2008), so each iteration samples
-    the field once: max_iter + 1 samples in all.
+    the field once: max_iter + 1 samples in all. The result carries the best
+    iterate's ``residual_mm`` and whether it is below tol_mm, ``converged``.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -261,15 +248,13 @@ class _MiCost:
             ((fvals - self.vmin) / self.vrange * bins).astype(np.int64), 0, bins - 1
         )
         self.moving = moving
-        self.minv = np.linalg.inv(moving.affine)
-        self.mdims = np.array(moving.dims, dtype=float)
 
     def __call__(self, transform: AffineTransform) -> float:
-        src = self.pts @ transform.matrix[:3, :3].T + transform.matrix[:3, 3]
-        idx = src @ self.minv[:3, :3].T + self.minv[:3, 3]
+        idx = self.moving.geometry.world_to_index(transform.map_points(self.pts))
+        # per-column tests: about 5x faster than np.all(..., axis=1) on (N, 3)
         valid = np.ones(len(idx), dtype=bool)
-        for a in range(3):
-            valid &= (idx[:, a] >= 0) & (idx[:, a] <= self.mdims[a] - 1)
+        for a, d in enumerate(self.moving.dims):
+            valid &= (idx[:, a] >= 0) & (idx[:, a] <= d - 1)
         if np.count_nonzero(valid) < 100:
             return 1.0  # no usable overlap; any real -MI is <= 0
         # every point is interpolated (each value depends on its own point
@@ -314,8 +299,12 @@ def _params_to_matrix(p, center, n_params):
     return m
 
 
-def _matrix_kind(n_params):
-    return "rigid" if n_params == 6 else "affine"
+def _stalled(history, window, tol):
+    """True once the last value is within tol (relative) of the one window steps back."""
+    if len(history) <= window:
+        return False
+    ref = history[-window - 1]
+    return abs(history[-1] - ref) < tol * max(abs(ref), 1e-12)
 
 
 def _coordinate_descent(cost, p0, steps, min_steps, max_sweeps, tol, window):
@@ -356,11 +345,8 @@ def _coordinate_descent(cost, p0, steps, min_steps, max_sweeps, tol, window):
             if np.all(steps < min_steps):
                 break
         history.append(f)
-        if len(history) > window:
-            ref = history[-window - 1]
-            if abs(ref - f) < tol * max(abs(ref), 1e-12):
-                if np.all(steps < min_steps * 8):
-                    break
+        if _stalled(history, window, tol) and np.all(steps < min_steps * 8):
+            break
     return p, f
 
 
@@ -377,6 +363,7 @@ def _check_linear_inputs(fixed, moving):
 def _register_linear(fixed, moving, config, n_params, p0=None):
     """(transform, parameter vector) of an n_params-dof MI registration."""
     _check_linear_inputs(fixed, moving)
+    kind = "rigid" if n_params == 6 else "affine"
     center = fixed.geometry.grid_world().mean(axis=0)
     p = np.zeros(n_params)
     if n_params == 12:
@@ -400,7 +387,7 @@ def _register_linear(fixed, moving, config, n_params, p0=None):
             min_steps[6:9] = 5e-4
             min_steps[9:12] = 5e-4
         p, _ = _coordinate_descent(
-            lambda q: cost(AffineTransform(_params_to_matrix(q, center, n_params), _matrix_kind(n_params))),
+            lambda q: cost(AffineTransform(_params_to_matrix(q, center, n_params), kind)),
             p,
             steps,
             min_steps,
@@ -408,7 +395,7 @@ def _register_linear(fixed, moving, config, n_params, p0=None):
             config.conv_tol,
             config.conv_window,
         )
-    return AffineTransform(_params_to_matrix(p, center, n_params), _matrix_kind(n_params)), p
+    return AffineTransform(_params_to_matrix(p, center, n_params), kind), p
 
 
 def register_rigid(fixed: VolumeGrid, moving: VolumeGrid, config: RegConfig | None = None):
@@ -428,10 +415,7 @@ def register_affine(fixed: VolumeGrid, moving: VolumeGrid, config: RegConfig | N
 
 
 def _local_sums(arr, radius):
-    from scipy.ndimage import uniform_filter
-
-    size = 2 * radius + 1
-    return uniform_filter(arr, size=size, mode="nearest")
+    return uniform_filter(arr, size=2 * radius + 1, mode="nearest")
 
 
 def _lncc_force(fixed_data, warped_data, radius, ainv3):
@@ -454,21 +438,9 @@ def _lncc_force(fixed_data, warped_data, radius, ainv3):
     return resid[..., None] * gworld, float(metric.mean())
 
 
-def _warp_scalar(moving: VolumeGrid, field: DeformationField) -> np.ndarray:
-    pts = field.geometry.grid_world() + field.disp.reshape(-1, 3)
-    idx = moving.geometry.world_to_index(pts)
-    return map_coordinates(
-        moving.data, idx.T, order=1, mode="constant", cval=0.0
-    ).reshape(field.geometry.dims)
-
-
 def _smooth_field(disp, sigma):
-    if sigma <= 0:
-        return disp
-    out = np.empty_like(disp)
-    for a in range(3):
-        out[..., a] = gaussian_filter(disp[..., a], sigma=sigma, mode="nearest")
-    return out
+    """Each component of a (..., 3) field smoothed; sigma in voxels, scalar or per axis."""
+    return gaussian_filter(disp, sigma=(*np.broadcast_to(sigma, 3), 0.0), mode="nearest")
 
 
 def register_deformable(
@@ -494,27 +466,26 @@ def register_deformable(
             field = resample_field(field, geom)
         ainv3 = np.linalg.inv(geom.affine[:3, :3])
         step_mm = config.step_length * float(np.min(geom.spacing))
+        pts = geom.grid_world()
         history = []
-        prev_disp = field.disp.copy()
+        prev = field
         prev_metric = -np.inf
         step = step_mm
         for _ in range(iters):
-            warped = _warp_scalar(m_l, field)
+            warped = m_l.sample(pts + field.disp.reshape(-1, 3)).reshape(geom.dims)
             force, metric = _lncc_force(f_l.data, warped, config.cc_radius, ainv3)
             if metric < prev_metric - 1e-12:
                 # metric regression: revert and halve the step
-                field = DeformationField(geom, prev_disp)
+                field = prev
                 step *= 0.5
                 if step < 0.01 * float(np.min(geom.spacing)):
                     break
                 continue
-            prev_disp = field.disp.copy()
+            prev = field
             prev_metric = metric
             history.append(metric)
-            if len(history) > config.conv_window:
-                ref = history[-config.conv_window - 1]
-                if abs(metric - ref) < config.conv_tol * max(abs(ref), 1e-12):
-                    break
+            if _stalled(history, config.conv_window, config.conv_tol):
+                break
             norms = np.linalg.norm(force, axis=-1)
             peak = float(norms.max())
             if peak <= 0:

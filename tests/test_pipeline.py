@@ -323,12 +323,16 @@ def test_cli_stats_reports_threshold(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config", [{"reg_config": {"bogus": 1}}, {"jlf_params": {"beta": 0}}], ids=["unknown-key", "bad-value"]
+    "text",
+    [json.dumps({"reg_config": {"bogus": 1}}), json.dumps({"jlf_params": {"beta": 0}}), "{not json", "[1]", None],
+    ids=["unknown-key", "bad-value", "not-json", "json-array", "missing-file"],
 )
-def test_segment_bad_config_exits_1(tmp_path, capsys, config):
-    """A config the parameter classes reject is a usage error, reported before any data is read."""
+def test_segment_bad_config_exits_1(tmp_path, capsys, text):
+    """A config file that is not a JSON object, or that the parameter classes reject,
+    is a usage error reported before any data is read (None: the file does not exist)."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    if text is not None:
+        path.write_text(text)
     missing_input, missing_atlas = str(tmp_path / "in.nii.gz"), str(tmp_path / "atlas")
     args = ["segment", "--input", missing_input, "--atlas", missing_atlas, "--out-dir", str(tmp_path / "o")]
     assert main(args + ["--config", str(path)]) == 1

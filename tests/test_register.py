@@ -19,6 +19,7 @@ from atlasfuse.register import (
     _coordinate_descent,
     _MiCost,
     _params_to_matrix,
+    _smooth_field,
     compose_fields,
     field_from_affine,
     invert_field,
@@ -70,15 +71,6 @@ def test_affine_inverse_and_compose():
     assert np.allclose(a.inverse().map_points(a.map_points(pts)), pts, atol=1e-9)
     b = _translation((1.0, 2.0, 3.0))
     assert np.allclose(a.compose(b).map_points(pts), a.map_points(b.map_points(pts)), atol=1e-9)
-
-
-def test_affine_json_roundtrip(tmp_path):
-    t = _translation((0.5, -1.0, 2.0))
-    path = str(tmp_path / "t.json")
-    t.to_json(path)
-    back = AffineTransform.from_json(path)
-    assert back.kind == "rigid"
-    assert np.array_equal(back.matrix, t.matrix)
 
 
 # --- DeformationField basics ---
@@ -357,14 +349,33 @@ def test_invert_divergence_matches_two_sample_loop():
     assert str(got.value) == str(want.value)
 
 
+# --- field smoothing against the per-component loop ---
+
+
+@pytest.mark.parametrize("sigma", [1.0, np.array([6.0, 3.0, 2.0]), 0.0], ids=["scalar", "per-axis", "zero"])
+def test_smooth_field_matches_per_component_loop(sigma):
+    disp = np.random.default_rng(5).standard_normal((12, 10, 9, 3))
+    want = disp.copy()
+    if np.any(sigma > 0):
+        for a in range(3):
+            want[..., a] = gaussian_filter(disp[..., a], sigma=sigma, mode="nearest")
+    assert np.array_equal(_smooth_field(disp, sigma), want)
+
+
 # --- MI stage against the gather-based cost and the unmemoized search ---
+
+
+def _moving_index(cost, transform):
+    """Moving-image voxel indices of the cost's samples under transform, and their in-bounds mask."""
+    minv = np.linalg.inv(cost.moving.affine)
+    src = cost.pts @ transform.matrix[:3, :3].T + transform.matrix[:3, 3]
+    idx = src @ minv[:3, :3].T + minv[:3, 3]
+    return idx, np.all((idx >= 0) & (idx <= np.array(cost.moving.dims, dtype=float) - 1), axis=1)
 
 
 def _reference_mi(cost, transform):
     """_MiCost.__call__ interpolating only the in-bounds samples."""
-    src = cost.pts @ transform.matrix[:3, :3].T + transform.matrix[:3, 3]
-    idx = src @ cost.minv[:3, :3].T + cost.minv[:3, 3]
-    valid = np.all((idx >= 0) & (idx <= cost.mdims - 1), axis=1)
+    idx, valid = _moving_index(cost, transform)
     if valid.sum() < 100:
         return 1.0
     mvals = map_coordinates(cost.moving.data, idx[valid].T, order=1, mode="nearest")
@@ -434,9 +445,8 @@ def test_mi_cost_matches_gather_reference(seed):
         for _ in range(8):
             p = np.r_[rng.uniform(-shift, shift, 3), rng.uniform(-0.15, 0.15, 3)]
             t = AffineTransform(_params_to_matrix(p, center, 6), "rigid")
-            src = cost.pts @ t.matrix[:3, :3].T + t.matrix[:3, 3]
-            idx = src @ cost.minv[:3, :3].T + cost.minv[:3, 3]
-            n_valid = int(np.all((idx >= 0) & (idx <= cost.mdims - 1), axis=1).sum())
+            idx, valid = _moving_index(cost, t)
+            n_valid = int(valid.sum())
             full += n_valid == len(idx)
             partial += 100 <= n_valid < len(idx)
             empty += n_valid < 100

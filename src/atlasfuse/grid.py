@@ -33,24 +33,25 @@ _DET_EPS = 1e-12
 
 @dataclass(frozen=True)
 class Geometry:
-    """Lattice description: voxel counts, spacing (mm) and index->world affine."""
+    """Lattice description: voxel counts and the index->world affine (mm)."""
 
     dims: tuple
-    spacing: np.ndarray
     affine: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "spacing", np.asarray(self.spacing, dtype=float))
         object.__setattr__(self, "affine", np.asarray(self.affine, dtype=float))
         if len(self.dims) != 3 or any(d < 1 for d in self.dims):
             raise GeometryMismatch(f"bad dims {self.dims}")
-        if self.spacing.shape != (3,) or np.any(self.spacing <= 0):
-            raise GeometryMismatch(f"bad spacing {self.spacing}")
         if self.affine.shape != (4, 4):
             raise GeometryMismatch("affine must be 4x4")
         if abs(np.linalg.det(self.affine[:3, :3])) <= _DET_EPS:
             raise NonInvertibleTransform("affine 3x3 block is singular")
+
+    @property
+    def spacing(self) -> np.ndarray:
+        """Voxel edge lengths in mm: the column norms of the affine's 3x3 block."""
+        return np.linalg.norm(self.affine[:3, :3], axis=0)
 
     @property
     def voxel_volume(self) -> float:
@@ -83,11 +84,7 @@ class Geometry:
         return w.min(axis=0), w.max(axis=0)
 
     def close_to(self, other: "Geometry", tol: float = 1e-5) -> bool:
-        return (
-            self.dims == other.dims
-            and np.allclose(self.spacing, other.spacing, atol=tol)
-            and np.allclose(self.affine, other.affine, atol=tol)
-        )
+        return self.dims == other.dims and np.allclose(self.affine, other.affine, atol=tol)
 
 
 @dataclass(frozen=True)
@@ -156,14 +153,11 @@ def default_scheme() -> LabelScheme:
 class _Image:
     """3-D data on a Geometry: the lattice code VolumeGrid and LabelVolume share."""
 
-    def __init__(self, data, affine, spacing):
+    def __init__(self, data, affine):
         if data.ndim != 3:
             raise GeometryMismatch(f"expected 3D data, got shape {data.shape}")
-        affine = np.asarray(affine, dtype=float)
-        if spacing is None:
-            spacing = np.linalg.norm(affine[:3, :3], axis=0)
         self.data = data
-        self.geometry = Geometry(data.shape, spacing, affine)
+        self.geometry = Geometry(data.shape, affine)
 
     @property
     def dims(self):
@@ -186,14 +180,14 @@ class _Image:
         geometry = self.geometry if geometry is None else geometry
         if np.shape(data) != geometry.dims:
             raise GeometryMismatch(f"data shape {np.shape(data)} is not lattice {geometry.dims}")
-        return type(self)(data, geometry.affine, geometry.spacing, **self._kept())
+        return type(self)(data, geometry.affine, **self._kept())
 
 
 class VolumeGrid(_Image):
     """3D scalar image on a voxel lattice."""
 
-    def __init__(self, data, affine, spacing=None):
-        super().__init__(np.asarray(data, dtype=np.float64), affine, spacing)
+    def __init__(self, data, affine):
+        super().__init__(np.asarray(data, dtype=np.float64), affine)
 
     def sample(self, world_pts, interp="trilinear"):
         """Sample at world points; out-of-bounds reads as 0."""
@@ -203,11 +197,11 @@ class VolumeGrid(_Image):
 class LabelVolume(_Image):
     """3D integer labelmap sharing VolumeGrid geometry; 0 is background."""
 
-    def __init__(self, data, affine, spacing=None, scheme: LabelScheme | None = None):
+    def __init__(self, data, affine, scheme: LabelScheme | None = None):
         data = np.asarray(data)
         if not np.issubdtype(data.dtype, np.integer):
             raise GeometryMismatch("labelmap data must be integer")
-        super().__init__(data.astype(np.int32), affine, spacing)
+        super().__init__(data.astype(np.int32), affine)
         if np.any(self.data < 0):
             raise GeometryMismatch("negative label codes")
         self.scheme = scheme
@@ -298,7 +292,7 @@ def crop(volume, box: CropBox):
     sub = volume.data[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1]
     affine = volume.affine.copy()
     affine[:3, 3] = volume.geometry.index_to_world([lo])[0]
-    return volume.with_data(sub.copy(), Geometry(box.extent, volume.spacing, affine))
+    return volume.with_data(sub.copy(), Geometry(box.extent, affine))
 
 
 def uncrop(sub, box: CropBox, full_geometry: Geometry, fill=0):

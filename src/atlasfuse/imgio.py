@@ -2,8 +2,9 @@
 
 Supports .nii and .nii.gz, scalar volumes and labelmaps, plus 3-component
 displacement-field volumes (vector intent, stored as x,y,z,1,3). Reads both
-byte orders (detected through the sizeof_hdr sanity check); always writes
-little-endian with sform from the volume affine.
+byte orders (detected through the sizeof_hdr sanity check). A lattice is its
+affine: it is read from the sform, else the qform, else the pixdim diagonal,
+and written little-endian as the sform, with pixdim the affine's column norms.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from .atomic import atomic_open
 from .errors import (
     BadMagic,
     DimMismatch,
+    GeometryMismatch,
     IoFailure,
     LabelOverflow,
     MissingFile,
     UnsupportedDatatype,
 )
-from .grid import Geometry, LabelVolume, VolumeGrid
+from .grid import _DET_EPS, Geometry, LabelVolume, VolumeGrid
+from .register import DeformationField
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -178,35 +181,35 @@ def _read_raw(path, expect_vector=False):
     # NIfTI is Fortran-ordered on disk
     data = data.reshape(shape[::-1]).transpose(range(len(shape))[::-1])
     affine = _affine_from_header(hdr)
-    spacing = np.abs([float(p) for p in hdr["pixdim"][1:4]])
-    if np.any(spacing <= 0):
-        spacing = np.linalg.norm(affine[:3, :3], axis=0)
-    return hdr, data, affine, spacing, code
+    # a malformed header is bad data (exit 2), not a numerical failure
+    if not np.all(np.isfinite(affine)) or abs(np.linalg.det(affine[:3, :3])) <= _DET_EPS:
+        raise GeometryMismatch(f"header affine is singular or not finite: {affine[:3, :3].tolist()}")
+    return hdr, data, affine, code
 
 
 def read_volume(path, as_labels=False, scheme=None):
     """Read a 3D NIfTI-1 file into a VolumeGrid (or LabelVolume with as_labels)."""
-    hdr, data, affine, spacing, code = _read_raw(path)
+    hdr, data, affine, code = _read_raw(path)
     if as_labels:
         if code not in _INT_CODES:
             raise UnsupportedDatatype(
                 f"labelmap requires an integer datatype, file has code {code}"
             )
-        return LabelVolume(np.ascontiguousarray(data).astype(np.int32), affine, spacing, scheme)
+        return LabelVolume(np.ascontiguousarray(data).astype(np.int32), affine, scheme)
     out = np.ascontiguousarray(data).astype(np.float64)
     slope, inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
     if slope != 0.0 and not (slope == 1.0 and inter == 0.0):
         out = out * slope + inter
-    return VolumeGrid(out, affine, spacing)
+    return VolumeGrid(out, affine)
 
 
-def _base_header(shape, spacing, affine, datatype_code, bitpix, ndim, intent=0):
+def _base_header(geometry, datatype_code, bitpix, ndim, intent=0):
     hdr = np.zeros((), dtype=_header_dtype("<"))
     hdr["sizeof_hdr"] = HEADER_SIZE
     hdr["regular"] = b"r"
     dim = np.ones(8, dtype=np.int16)
     dim[0] = ndim
-    dim[1:4] = shape[:3]
+    dim[1:4] = geometry.dims
     if ndim == 5:
         dim[4] = 1
         dim[5] = 3
@@ -216,7 +219,7 @@ def _base_header(shape, spacing, affine, datatype_code, bitpix, ndim, intent=0):
     hdr["bitpix"] = bitpix
     pixdim = np.zeros(8, dtype=np.float32)
     pixdim[0] = 1.0
-    pixdim[1:4] = spacing
+    pixdim[1:4] = geometry.spacing
     hdr["pixdim"] = pixdim
     hdr["vox_offset"] = VOX_OFFSET
     hdr["scl_slope"] = 1.0
@@ -224,9 +227,9 @@ def _base_header(shape, spacing, affine, datatype_code, bitpix, ndim, intent=0):
     hdr["xyzt_units"] = 2  # mm
     hdr["sform_code"] = 1
     hdr["qform_code"] = 0
-    hdr["srow_x"] = affine[0, :]
-    hdr["srow_y"] = affine[1, :]
-    hdr["srow_z"] = affine[2, :]
+    hdr["srow_x"] = geometry.affine[0, :]
+    hdr["srow_y"] = geometry.affine[1, :]
+    hdr["srow_z"] = geometry.affine[2, :]
     hdr["magic"] = b"n+1"
     return hdr
 
@@ -257,7 +260,7 @@ def write_volume(volume, path):
     else:
         arr = volume.data.astype("<f4")
         code, bits = 16, 32
-    hdr = _base_header(volume.dims, volume.spacing, volume.affine, code, bits, 3)
+    hdr = _base_header(volume.geometry, code, bits, 3)
     _write_blob(path, hdr, np.asfortranarray(arr).tobytes(order="F"))
 
 
@@ -265,15 +268,13 @@ def write_field(field, path):
     """Write a DeformationField as a 5D vector NIfTI (nx,ny,nz,1,3, intent 1007)."""
     arr = field.disp.astype("<f4")
     g = field.geometry
-    hdr = _base_header(g.dims, g.spacing, g.affine, 16, 32, 5, intent=INTENT_VECTOR)
+    hdr = _base_header(g, 16, 32, 5, intent=INTENT_VECTOR)
     flat = np.asfortranarray(arr.reshape(g.dims + (1, 3))).tobytes(order="F")
     _write_blob(path, hdr, flat)
 
 
 def read_field(path):
     """Read a 5D vector NIfTI into a DeformationField."""
-    from .register import DeformationField
-
-    hdr, data, affine, spacing, _code = _read_raw(path, expect_vector=True)
+    hdr, data, affine, _code = _read_raw(path, expect_vector=True)
     disp = np.ascontiguousarray(data).astype(np.float64)
-    return DeformationField(Geometry(disp.shape[:3], spacing, affine), disp)
+    return DeformationField(Geometry(disp.shape[:3], affine), disp)

@@ -18,6 +18,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from . import imgio
 from .atomic import atomic_open
 from .errors import MissingFile
 from .grid import CropBox, LabelScheme, LabelVolume, VolumeGrid
@@ -43,8 +44,6 @@ class AtlasLibrary:
     priors: list = field(default_factory=list)
 
     def save(self, out_dir):
-        from . import imgio
-
         os.makedirs(out_dir, exist_ok=True)
         imgio.write_volume(self.template, template_path(out_dir))
         with atomic_open(os.path.join(out_dir, "cropbox.json")) as f:
@@ -62,8 +61,6 @@ class AtlasLibrary:
 
     @classmethod
     def load(cls, atlas_dir) -> "AtlasLibrary":
-        from . import imgio
-
         tpath = template_path(atlas_dir)
         if not os.path.isfile(tpath):
             raise MissingFile(tpath)

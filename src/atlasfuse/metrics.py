@@ -157,7 +157,7 @@ def _aggregate_bilateral(labels: LabelVolume, scheme: LabelScheme) -> LabelVolum
     merged = LabelScheme(
         [e for c, e in scheme.entries.items() if e.hemisphere != "left"]
     )
-    return LabelVolume(data, labels.affine, labels.spacing, merged)
+    return LabelVolume(data, labels.affine, merged)
 
 
 def build_report(

@@ -80,7 +80,7 @@ def default_nuclei() -> list:
 
 def _phantom_geometry(spec: PhantomSpec) -> Geometry:
     s = spec.spacing_mm
-    return Geometry(spec.dims, np.array([s, s, s]), np.diag([s, s, s, 1.0]))
+    return Geometry(spec.dims, np.diag([s, s, s, 1.0]))
 
 
 def generate_phantom(spec: PhantomSpec | None = None):
@@ -118,8 +118,8 @@ def generate_phantom(spec: PhantomSpec | None = None):
 
     scheme = default_scheme() if not spec.nuclei else None
     return (
-        VolumeGrid(t1, geom.affine, geom.spacing),
-        LabelVolume(labels, geom.affine, geom.spacing, scheme),
+        VolumeGrid(t1, geom.affine),
+        LabelVolume(labels, geom.affine, scheme),
     )
 
 

@@ -130,11 +130,8 @@ def run_segment(
         wi = resample(prior.intensity, in_crop.geometry, total, "trilinear")
         return wl, wi
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            results = list(ex.map(_warp_prior, lib.priors))
-    else:
-        results = [_warp_prior(p) for p in lib.priors]
+    with ThreadPoolExecutor(max_workers=n_workers) as ex:
+        results = list(ex.map(_warp_prior, lib.priors))
 
     warped_labels = [r[0] for r in results]
     warped_ints = [r[1] for r in results]

@@ -28,13 +28,11 @@ from .errors import (
 )
 from .grid import Geometry, LabelVolume, VolumeGrid, resample
 
-_ORTHO_TOL = 1e-6
-
 
 class AffineTransform:
-    """Homogeneous world->world transform; kind is 'rigid' or 'affine'."""
+    """Homogeneous world->world transform."""
 
-    def __init__(self, matrix, kind="affine"):
+    def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
         if self.matrix.shape != (4, 4):
             raise NonInvertibleTransform("transform matrix must be 4x4")
@@ -42,29 +40,21 @@ class AffineTransform:
             raise NonInvertibleTransform("last row must be (0,0,0,1)")
         if abs(np.linalg.det(self.matrix[:3, :3])) < 1e-12:
             raise NonInvertibleTransform("singular transform")
-        if kind not in ("rigid", "affine"):
-            raise ValueError(f"unknown kind {kind!r}")
-        if kind == "rigid":
-            r = self.matrix[:3, :3]
-            if np.max(np.abs(r.T @ r - np.eye(3))) > _ORTHO_TOL:
-                raise NonInvertibleTransform("rigid transform is not orthonormal")
-        self.kind = kind
 
     @classmethod
-    def identity(cls, kind="rigid"):
-        return cls(np.eye(4), kind)
+    def identity(cls):
+        return cls(np.eye(4))
 
     def map_points(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return pts @ self.matrix[:3, :3].T + self.matrix[:3, 3]
 
     def inverse(self):
-        return AffineTransform(np.linalg.inv(self.matrix), self.kind)
+        return AffineTransform(np.linalg.inv(self.matrix))
 
     def compose(self, other):
         """self after other: (self @ other)(x) = self(other(x))."""
-        kind = "rigid" if self.kind == other.kind == "rigid" else "affine"
-        return AffineTransform(self.matrix @ other.matrix, kind)
+        return AffineTransform(self.matrix @ other.matrix)
 
 
 class DeformationField:
@@ -210,7 +200,7 @@ def _downsample(vol: VolumeGrid, factor: int) -> VolumeGrid:
     dims = tuple(max(1, int(np.ceil(d / factor))) for d in vol.dims)
     affine = vol.affine.copy()
     affine[:3, :3] *= factor
-    geom = Geometry(dims, vol.spacing * factor, affine)
+    geom = Geometry(dims, affine)
     return resample(vol.with_data(sm), geom, None, "trilinear")
 
 
@@ -363,7 +353,6 @@ def _check_linear_inputs(fixed, moving):
 def _register_linear(fixed, moving, config, n_params, p0=None):
     """(transform, parameter vector) of an n_params-dof MI registration."""
     _check_linear_inputs(fixed, moving)
-    kind = "rigid" if n_params == 6 else "affine"
     center = fixed.geometry.grid_world().mean(axis=0)
     p = np.zeros(n_params)
     if n_params == 12:
@@ -387,7 +376,7 @@ def _register_linear(fixed, moving, config, n_params, p0=None):
             min_steps[6:9] = 5e-4
             min_steps[9:12] = 5e-4
         p, _ = _coordinate_descent(
-            lambda q: cost(AffineTransform(_params_to_matrix(q, center, n_params), kind)),
+            lambda q: cost(AffineTransform(_params_to_matrix(q, center, n_params))),
             p,
             steps,
             min_steps,
@@ -395,7 +384,7 @@ def _register_linear(fixed, moving, config, n_params, p0=None):
             config.conv_tol,
             config.conv_window,
         )
-    return AffineTransform(_params_to_matrix(p, center, n_params), kind), p
+    return AffineTransform(_params_to_matrix(p, center, n_params)), p
 
 
 def register_rigid(fixed: VolumeGrid, moving: VolumeGrid, config: RegConfig | None = None):

@@ -150,7 +150,7 @@ def test_criterion_3_fusion_identities():
 
 def test_criterion_4_field_algebra():
     t0 = time.perf_counter()
-    geom16 = Geometry((16, 16, 16), np.ones(3), np.eye(4))
+    geom16 = Geometry((16, 16, 16), np.eye(4))
     c = np.array([1.5, -0.75, 2.0])
     disp = np.broadcast_to(c, geom16.dims + (3,)).copy()
     f_const = DeformationField(geom16, disp)
@@ -159,7 +159,7 @@ def test_criterion_4_field_algebra():
     res_const = compose_fields(f_const, inv_const).disp[4:12, 4:12, 4:12]
     const_compose_ok = bool(np.all(res_const == 0.0))
 
-    geom = Geometry((64, 64, 64), np.ones(3), np.eye(4))
+    geom = Geometry((64, 64, 64), np.eye(4))
     worst_residual = 0.0
     min_jac = np.inf
     for seed in range(8):
@@ -195,7 +195,7 @@ def test_criterion_5_registration_recovery(base):
     # translation: moving(x) = fixed(C x) with C a 3 mm shift; recover C^-1
     c_mat = np.eye(4)
     c_mat[:3, 3] = (3.0, 0.0, 0.0)
-    c = AffineTransform(c_mat, "rigid")
+    c = AffineTransform(c_mat)
     moving = resample(wmn, wmn.geometry, c, "trilinear")
     t = register_rigid(wmn, moving)
     trans_err = float(np.linalg.norm(t.matrix[:3, 3] - c.inverse().matrix[:3, 3]))
@@ -205,7 +205,7 @@ def test_criterion_5_registration_recovery(base):
     rot = np.eye(4)
     rot[:2, :2] = [[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]]
     rot[:3, 3] = center - rot[:3, :3] @ center
-    c_rot = AffineTransform(rot, "rigid")
+    c_rot = AffineTransform(rot)
     moving = resample(wmn, wmn.geometry, c_rot, "trilinear")
     t = register_rigid(wmn, moving)
     resid = t.compose(c_rot).matrix[:3, :3]
@@ -217,7 +217,7 @@ def test_criterion_5_registration_recovery(base):
     sc = np.eye(4)
     sc[:3, :3] *= 1.1
     sc[:3, 3] = center - sc[:3, :3] @ center
-    c_sc = AffineTransform(sc, "affine")
+    c_sc = AffineTransform(sc)
     moving = resample(wmn, wmn.geometry, c_sc, "trilinear")
     t = register_affine(wmn, moving)
     scale_err = abs(float(np.cbrt(np.linalg.det(t.matrix[:3, :3]))) * 1.1 - 1.0)

@@ -29,16 +29,14 @@ from atlasfuse.register import AffineTransform
 def _translation(t):
     m = np.eye(4)
     m[:3, 3] = t
-    return AffineTransform(m, "rigid")
+    return AffineTransform(m)
 
 
 def test_geometry_validation():
     with pytest.raises(GeometryMismatch):
-        Geometry((0, 4, 4), np.ones(3), np.eye(4))
-    with pytest.raises(GeometryMismatch):
-        Geometry((4, 4, 4), np.array([1.0, -1.0, 1.0]), np.eye(4))
+        Geometry((0, 4, 4), np.eye(4))
     with pytest.raises(NonInvertibleTransform):
-        Geometry((4, 4, 4), np.ones(3), np.zeros((4, 4)))
+        Geometry((4, 4, 4), np.zeros((4, 4)))
 
 
 def test_index_world_inverse_roundtrip():
@@ -46,13 +44,13 @@ def test_index_world_inverse_roundtrip():
     aff = np.eye(4)
     aff[:3, :3] = np.diag([0.7, 1.1, 1.3])
     aff[:3, 3] = (5.0, -3.0, 2.0)
-    g = Geometry((10, 10, 10), np.array([0.7, 1.1, 1.3]), aff)
+    g = Geometry((10, 10, 10), aff)
     idx = rng.uniform(0, 9, size=(50, 3))
     assert np.allclose(g.world_to_index(g.index_to_world(idx)), idx, atol=1e-9)
 
 
 def test_voxel_volume():
-    g = Geometry((4, 4, 4), np.array([0.5, 2.0, 1.5]), np.diag([0.5, 2.0, 1.5, 1.0]))
+    g = Geometry((4, 4, 4), np.diag([0.5, 2.0, 1.5, 1.0]))
     assert g.voxel_volume == pytest.approx(1.5)
 
 
@@ -108,7 +106,7 @@ def test_label_affine_roundtrip_recovers_blocky_phantom():
     m = np.eye(4)
     m[:3, :3] = np.diag([1.05, 0.97, 1.02])
     m[:3, 3] = (0.4, -0.3, 0.6)
-    fwd = AffineTransform(m, "affine")
+    fwd = AffineTransform(m)
     warped = resample(lab, lab.geometry, fwd, "nearest")
     back = resample(warped, lab.geometry, fwd.inverse(), "nearest")
     assert np.mean(back.data == lab.data) >= 0.99
@@ -168,7 +166,7 @@ def test_uncrop_inverts_crop():
 def test_uncrop_extent_mismatch():
     sub = LabelVolume(np.zeros((2, 2, 2), dtype=np.int32), np.eye(4))
     with pytest.raises(GeometryMismatch):
-        uncrop(sub, CropBox((0, 0, 0), (4, 4, 4)), Geometry((8, 8, 8), np.ones(3), np.eye(4)))
+        uncrop(sub, CropBox((0, 0, 0), (4, 4, 4)), Geometry((8, 8, 8), np.eye(4)))
 
 
 def _image(kind):
@@ -188,7 +186,7 @@ def test_crop_uncrop_resample_keep_type_dtype_and_scheme(kind):
     box = CropBox((1, 2, 3), (8, 7, 9))
     sub = crop(img, box)
     full = uncrop(sub, box, img.geometry)
-    target = Geometry((6, 5, 4), np.full(3, 1.5), np.diag([1.5, 1.5, 1.5, 1.0]))
+    target = Geometry((6, 5, 4), np.diag([1.5, 1.5, 1.5, 1.0]))
     interp = "trilinear" if kind == "intensity" else "nearest"
     moved = resample(full, target, _translation((0.3, -0.7, 1.2)), interp)
     assert sub.dims == box.extent
@@ -204,7 +202,7 @@ def test_crop_uncrop_resample_keep_type_dtype_and_scheme(kind):
 def test_with_data_checks_the_lattice(kind):
     img = _image(kind)
     small = np.zeros((4, 4, 4), dtype=img.data.dtype)
-    other = Geometry((4, 4, 4), img.spacing, img.affine)
+    other = Geometry((4, 4, 4), img.affine)
     with pytest.raises(GeometryMismatch):
         img.with_data(small)
     with pytest.raises(GeometryMismatch):

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used in it, and
-every function, class and method the package defines is referenced."""
+"""Source hygiene: every name a package module imports is used in it, every
+import sits at module level, and every function, class and method the package
+defines is referenced."""
 
 import ast
 import pathlib
@@ -36,6 +37,27 @@ def test_module_has_no_unused_imports(path):
 def test_unused_import_scan_catches_an_unused_name():
     source = "import os\nimport numpy as np\nfrom json import dumps, loads\nx = np.zeros(1)\ny = loads\n"
     assert unused_imports(source) == ["dumps (line 3)", "os (line 1)"]
+
+
+def function_level_imports(source: str) -> list:
+    """Import statements inside a function body, as 'function (line n)'."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.add(f"{fn.name} (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_only_at_module_level(path):
+    assert function_level_imports(path.read_text()) == []
+
+
+def test_function_level_import_scan_catches_a_nested_import():
+    source = "import os\ndef f():\n    from json import dumps\n    return dumps, os\n"
+    assert function_level_imports(source) == ["f (line 3)"]
 
 
 def unreferenced_definitions(defining: dict, referencing: list) -> list:

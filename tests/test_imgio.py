@@ -9,18 +9,30 @@ from atlasfuse import imgio
 from atlasfuse.errors import (
     BadMagic,
     DimMismatch,
+    GeometryMismatch,
     IoFailure,
     LabelOverflow,
     MissingFile,
     UnsupportedDatatype,
 )
 from atlasfuse.grid import LabelVolume, VolumeGrid
+from atlasfuse.metrics import nucleus_volume
 
 
 def _random_volume(rng, dims=(8, 8, 8), spacing=1.0):
     aff = np.diag([spacing, spacing, spacing, 1.0])
     aff[:3, 3] = (1.5, -2.0, 3.25)
     return VolumeGrid(rng.standard_normal(dims), aff)
+
+
+def _patch_header(path, **fields):
+    """Overwrite header fields of an uncompressed little-endian file in place."""
+    raw = bytearray(open(path, "rb").read())
+    hdr = np.frombuffer(bytes(raw[: imgio.HEADER_SIZE]), dtype=imgio._header_dtype("<")).copy()
+    for name, value in fields.items():
+        hdr[name] = value
+    raw[: imgio.HEADER_SIZE] = hdr.tobytes()
+    open(path, "wb").write(bytes(raw))
 
 
 def test_scalar_roundtrip_float32_exact(tmp_path):
@@ -213,7 +225,7 @@ def test_field_roundtrip(tmp_path):
     from atlasfuse.register import DeformationField
 
     rng = np.random.default_rng(12)
-    geom = Geometry((6, 5, 4), np.ones(3), np.eye(4))
+    geom = Geometry((6, 5, 4), np.eye(4))
     f = DeformationField(geom, rng.standard_normal((6, 5, 4, 3)))
     path = str(tmp_path / "f.nii.gz")
     imgio.write_field(f, path)
@@ -240,9 +252,51 @@ def test_qform_fallback(tmp_path):
     vol = VolumeGrid(np.zeros((4, 4, 4)), np.diag([2.0, 2.0, 2.0, 1.0]))
     path = str(tmp_path / "v.nii")
     imgio.write_volume(vol, path)
-    raw = bytearray(open(path, "rb").read())
-    raw[252:254] = np.int16(1).tobytes()  # qform_code = 1
-    raw[254:256] = np.int16(0).tobytes()  # sform_code = 0
-    open(path, "wb").write(bytes(raw))
+    _patch_header(path, qform_code=1, sform_code=0)
     back = imgio.read_volume(path)
     assert np.allclose(back.affine[:3, :3], np.diag([2.0, 2.0, 2.0]))
+    assert np.allclose(back.spacing, [2.0, 2.0, 2.0])
+
+
+def test_spacing_and_volumes_come_from_the_sform_not_pixdim(tmp_path):
+    """A 4^3 block on a 2 mm sform is 512 mm^3 whatever pixdim claims."""
+    lab = LabelVolume(np.ones((4, 4, 4), dtype=np.int32), np.diag([2.0, 2.0, 2.0, 1.0]))
+    path = str(tmp_path / "l.nii")
+    imgio.write_volume(lab, path)
+    _patch_header(path, pixdim=[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    back = imgio.read_volume(path, as_labels=True)
+    assert np.array_equal(back.spacing, [2.0, 2.0, 2.0])
+    assert nucleus_volume(back, 1) == 512.0
+
+
+def _rotated():
+    c, s = np.cos(0.4), np.sin(0.4)
+    aff = np.eye(4)
+    aff[:3, :3] = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ np.diag([0.7, 1.1, 1.3])
+    return aff
+
+
+@pytest.mark.parametrize(
+    "affine, spacing",
+    [(_rotated(), [0.7, 1.1, 1.3]), (np.diag([-2.0, 1.0, 1.5, 1.0]), [2.0, 1.0, 1.5])],
+    ids=["rotated", "mirrored"],
+)
+def test_spacing_is_the_affine_column_norms(tmp_path, affine, spacing):
+    """In memory, in the written pixdim and read back, spacing is the column norms."""
+    vol = VolumeGrid(np.zeros((4, 4, 4)), affine)
+    assert np.allclose(vol.spacing, spacing, rtol=0, atol=1e-12)
+    path = str(tmp_path / "v.nii")
+    imgio.write_volume(vol, path)
+    hdr = np.frombuffer(open(path, "rb").read(imgio.HEADER_SIZE), dtype=imgio._header_dtype("<"))[0]
+    assert np.allclose(hdr["pixdim"][1:4], spacing, rtol=0, atol=1e-6)
+    assert np.allclose(imgio.read_volume(path).spacing, spacing, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
+def test_singular_header_affine_is_a_data_error(tmp_path, bad):
+    """Without sform or qform the lattice is diag(pixdim); a degenerate one is bad data."""
+    path = str(tmp_path / "v.nii")
+    imgio.write_volume(VolumeGrid(np.zeros((4, 4, 4)), np.eye(4)), path)
+    _patch_header(path, sform_code=0, qform_code=0, pixdim=[1.0, 1.0, bad, 1.0, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(GeometryMismatch):
+        imgio.read_volume(path)

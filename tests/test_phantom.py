@@ -73,7 +73,7 @@ def test_nucleus_outside_grid_rejected():
 
 
 def test_random_diffeo_contract():
-    geom = Geometry((48, 48, 48), np.ones(3), np.eye(4))
+    geom = Geometry((48, 48, 48), np.eye(4))
     f1 = random_diffeo(WarpSpec(seed=9), geom)
     f2 = random_diffeo(WarpSpec(seed=9), geom)
     assert np.array_equal(f1.disp, f2.disp)
@@ -84,7 +84,7 @@ def test_random_diffeo_contract():
 
 
 def test_random_diffeo_vanishes_at_boundary():
-    geom = Geometry((48, 48, 48), np.ones(3), np.eye(4))
+    geom = Geometry((48, 48, 48), np.eye(4))
     f = random_diffeo(WarpSpec(seed=10), geom)
     for a in range(3):
         sl = [slice(None)] * 3
@@ -94,7 +94,7 @@ def test_random_diffeo_vanishes_at_boundary():
 
 
 def test_random_diffeo_infeasible_spec_rejected():
-    geom = Geometry((32, 32, 32), np.ones(3), np.eye(4))
+    geom = Geometry((32, 32, 32), np.eye(4))
     with pytest.raises(JacobianViolation):
         random_diffeo(WarpSpec(seed=0, max_displacement_mm=10.0, smoothness_mm=1.0), geom)
 

@@ -30,13 +30,13 @@ from atlasfuse.register import (
     warp_labels,
 )
 
-GEOM16 = Geometry((16, 16, 16), np.ones(3), np.eye(4))
+GEOM16 = Geometry((16, 16, 16), np.eye(4))
 
 
-def _translation(t, kind="rigid"):
+def _translation(t):
     m = np.eye(4)
     m[:3, 3] = t
-    return AffineTransform(m, kind)
+    return AffineTransform(m)
 
 
 def _const_field(geometry, t):
@@ -56,9 +56,7 @@ def test_affine_validation():
         AffineTransform(bad_row)
     shear = np.eye(4)
     shear[0, 1] = 0.5
-    with pytest.raises(NonInvertibleTransform):
-        AffineTransform(shear, "rigid")
-    AffineTransform(shear, "affine")  # fine as a general affine
+    AffineTransform(shear)  # fine as a general affine
 
 
 def test_affine_inverse_and_compose():
@@ -66,7 +64,7 @@ def test_affine_inverse_and_compose():
     m = np.eye(4)
     m[:3, :3] += 0.1 * rng.standard_normal((3, 3))
     m[:3, 3] = rng.standard_normal(3)
-    a = AffineTransform(m, "affine")
+    a = AffineTransform(m)
     pts = rng.standard_normal((20, 3))
     assert np.allclose(a.inverse().map_points(a.map_points(pts)), pts, atol=1e-9)
     b = _translation((1.0, 2.0, 3.0))
@@ -116,7 +114,7 @@ def test_compose_zero_field_is_identity_element():
 
 
 def test_compose_matches_sequential_warping():
-    geom = Geometry((32, 32, 32), np.ones(3), np.eye(4))
+    geom = Geometry((32, 32, 32), np.eye(4))
     rng = np.random.default_rng(4)
     vol = VolumeGrid(gaussian_filter(rng.standard_normal(geom.dims), 3.0), np.eye(4))
     f_outer = random_diffeo(WarpSpec(seed=11, max_displacement_mm=2.0), geom)
@@ -142,7 +140,7 @@ def test_invert_constant_field_exact():
 
 
 def test_invert_random_diffeo_composition_residual():
-    geom = Geometry((64, 64, 64), np.ones(3), np.eye(4))
+    geom = Geometry((64, 64, 64), np.eye(4))
     f = random_diffeo(WarpSpec(seed=5, smoothness_mm=12.0, edge_taper_voxels=20), geom)
     inv = invert_field(f)
     assert inv.converged
@@ -157,7 +155,7 @@ def test_invert_rejects_no_iterations(max_iter):
 
 
 def _expansive_field():
-    geom = Geometry((32, 32, 32), np.ones(3), np.eye(4))
+    geom = Geometry((32, 32, 32), np.eye(4))
     ii = np.indices(geom.dims).transpose(1, 2, 3, 0).astype(float)
     disp = np.zeros(geom.dims + (3,))
     disp[..., 0] = 1.1 * (ii[..., 0] - 15.5)  # expansive map, fixed point repels
@@ -172,7 +170,7 @@ def test_inversion_divergence_detected():
 def test_jacobian_of_affine_field_matches_determinant():
     m = np.eye(4)
     m[:3, :3] = np.diag([1.1, 0.9, 1.05])
-    f = field_from_affine(AffineTransform(m, "affine"), GEOM16)
+    f = field_from_affine(AffineTransform(m), GEOM16)
     det = f.jacobian_determinants()
     # interior voxels see the exact constant Jacobian of the linear map
     assert np.allclose(det[2:-2, 2:-2, 2:-2], 1.1 * 0.9 * 1.05, atol=1e-9)
@@ -298,7 +296,7 @@ class _CountingField(DeformationField):
 
 
 def _oracle_field(case):
-    geom24 = Geometry((24, 24, 24), np.ones(3), np.eye(4))
+    geom24 = Geometry((24, 24, 24), np.eye(4))
     if case == "zero":
         return DeformationField.zero(GEOM16)
     if case == "constant":
@@ -444,7 +442,7 @@ def test_mi_cost_matches_gather_reference(seed):
     for shift in (0.0, 4.0, 12.0, 40.0):
         for _ in range(8):
             p = np.r_[rng.uniform(-shift, shift, 3), rng.uniform(-0.15, 0.15, 3)]
-            t = AffineTransform(_params_to_matrix(p, center, 6), "rigid")
+            t = AffineTransform(_params_to_matrix(p, center, 6))
             idx, valid = _moving_index(cost, t)
             n_valid = int(valid.sum())
             full += n_valid == len(idx)
@@ -456,11 +454,11 @@ def test_mi_cost_matches_gather_reference(seed):
     big_cost = _MiCost(fixed, big, 32, 50000)
     for _ in range(8):
         p = np.r_[rng.uniform(-1.0, 1.0, 3), rng.uniform(-0.05, 0.05, 3)]
-        t = AffineTransform(_params_to_matrix(p, center, 6), "rigid")
+        t = AffineTransform(_params_to_matrix(p, center, 6))
         full += 1
         assert big_cost(t) == _reference_mi(big_cost, t)
     assert partial and empty and full
-    far = AffineTransform(_params_to_matrix(np.r_[100.0, 0, 0, 0, 0, 0], center, 6), "rigid")
+    far = AffineTransform(_params_to_matrix(np.r_[100.0, 0, 0, 0, 0, 0], center, 6))
     assert cost(far) == _reference_mi(cost, far) == 1.0
 
 
@@ -491,7 +489,7 @@ def test_coordinate_descent_never_repeats_a_trial(which):
         center = fixed.geometry.grid_world().mean(axis=0)
 
         def cost(q):
-            return mi(AffineTransform(_params_to_matrix(q, center, 6), "rigid"))
+            return mi(AffineTransform(_params_to_matrix(q, center, 6)))
 
         steps = np.r_[np.ones(3), np.full(3, 0.08)]
         mins = np.r_[np.full(3, 0.02), np.full(3, 5e-4)]

@@ -33,11 +33,7 @@ def _load_config_file(path):
 
 def _reg_config(cfg: dict) -> RegConfig:
     try:
-        known = dict(cfg.get("reg_config", {}))
-        for key in ("shrink_factors", "linear_iters", "deform_iters"):
-            if key in known:
-                known[key] = tuple(known[key])
-        return RegConfig(**known)
+        return RegConfig(**cfg.get("reg_config", {}))
     except (TypeError, ValueError) as e:
         raise UsageError(f"bad reg_config: {e}") from e
 

@@ -76,7 +76,10 @@ class DeformationField:
 
     def sample_disp(self, world_pts):
         """Trilinear displacement at world points; outside the lattice reads 0."""
-        idx = self.geometry.world_to_index(world_pts)
+        return self._sample_index(self.geometry.world_to_index(world_pts))
+
+    def _sample_index(self, idx):
+        """Trilinear displacement at (N, 3) voxel indices; outside the lattice reads 0."""
         out = np.empty((idx.shape[0], 3))
         for a in range(3):
             out[:, a] = map_coordinates(
@@ -132,12 +135,17 @@ def invert_field(field: DeformationField, tol_mm=0.01, max_iter=50) -> Deformati
     The sample h = f(x + g_k) that measures g_k's residual is also the next
     iterate, g_{k+1} = -h (Chen et al., "A simple fixed-point approach to
     invert a deformation field", Med. Phys. 2008), so each iteration samples
-    the field once: max_iter + 1 samples in all. The result carries the best
-    iterate's ``residual_mm`` and whether it is below tol_mm, ``converged``.
+    the field once: max_iter + 1 samples in all. The residual is taken only
+    over voxels whose x + g lies inside the field's lattice, where f is
+    defined: elsewhere f reads 0 and no iterate can improve the voxel. An
+    iterate with no voxel inside raises InversionDiverged. The result carries
+    the best iterate's ``residual_mm`` and whether it is below tol_mm,
+    ``converged``.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    pts = field.geometry.grid_world()
+    geom = field.geometry
+    pts = geom.grid_world()
     h = field.sample_disp(pts)
     best = None
     best_res = np.inf
@@ -145,8 +153,12 @@ def invert_field(field: DeformationField, tol_mm=0.01, max_iter=50) -> Deformati
     prev_res = np.inf
     for _ in range(max_iter):
         g = -h
-        h = field.sample_disp(pts + g)
-        res = float(np.linalg.norm(h + g, axis=1).max())
+        idx = geom.world_to_index(pts + g)
+        h = field._sample_index(idx)
+        inside = geom.contains_index(idx)
+        if not inside.any():
+            raise InversionDiverged("no voxel's inverse lies inside the lattice")
+        res = float(np.linalg.norm(h + g, axis=1)[inside].max())
         if res < best_res:
             best, best_res = g, res
         if res < tol_mm:
@@ -158,7 +170,7 @@ def invert_field(field: DeformationField, tol_mm=0.01, max_iter=50) -> Deformati
         else:
             grow = 0
         prev_res = res
-    out = DeformationField(field.geometry, best.reshape(field.disp.shape))
+    out = DeformationField(geom, best.reshape(field.disp.shape))
     out.residual_mm = best_res
     out.converged = best_res < tol_mm
     return out
@@ -186,8 +198,21 @@ class RegConfig:
     def __post_init__(self):
         if self.sigma_update < 0 or self.sigma_total < 0:
             raise ValueError("smoothing sigmas must be >= 0")
+        for name in ("shrink_factors", "linear_iters", "deform_iters"):
+            levels = tuple(getattr(self, name))
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in levels):
+                raise ValueError(f"{name} must hold integers, got {levels}")
+            setattr(self, name, tuple(int(v) for v in levels))
         if len(self.shrink_factors) < 1:
             raise ValueError("need at least one pyramid level")
+        if min(self.shrink_factors) < 1:
+            raise ValueError(f"shrink_factors must be >= 1, got {self.shrink_factors}")
+        for name in ("linear_iters", "deform_iters"):
+            iters = getattr(self, name)
+            if len(iters) != len(self.shrink_factors):
+                raise ValueError(f"{name} needs one entry per shrink factor, got {iters}")
+            if min(iters) < 0:
+                raise ValueError(f"{name} must be >= 0, got {iters}")
 
 
 # --- pyramid ---
@@ -241,10 +266,7 @@ class _MiCost:
 
     def __call__(self, transform: AffineTransform) -> float:
         idx = self.moving.geometry.world_to_index(transform.map_points(self.pts))
-        # per-column tests: about 5x faster than np.all(..., axis=1) on (N, 3)
-        valid = np.ones(len(idx), dtype=bool)
-        for a, d in enumerate(self.moving.dims):
-            valid &= (idx[:, a] >= 0) & (idx[:, a] <= d - 1)
+        valid = self.moving.geometry.contains_index(idx)
         if np.count_nonzero(valid) < 100:
             return 1.0  # no usable overlap; any real -MI is <= 0
         # every point is interpolated (each value depends on its own point
@@ -268,6 +290,10 @@ class _MiCost:
 
 
 # --- linear parameterization ---
+
+# the coordinate search stops refining a parameter once its step would move
+# no voxel center of the level's fixed lattice by more than this many voxels
+_MIN_STEP_VOXELS = 0.05
 
 
 def _params_to_matrix(p, center, n_params):
@@ -350,6 +376,21 @@ def _check_linear_inputs(fixed, moving):
         raise NoOverlap("fixed and moving world bounding boxes are disjoint")
 
 
+def _min_steps(geometry, center, n_params):
+    """Per-parameter steps that move no voxel center by more than _MIN_STEP_VOXELS.
+
+    The voxel is the lattice's largest edge. A translation moves every point
+    by its step; a rotation, scale or shear step d moves a point at distance r
+    from center by at most d * r, to first order, and the voxel center
+    farthest from center is a lattice corner.
+    """
+    tol_mm = _MIN_STEP_VOXELS * float(np.max(geometry.spacing))
+    radius = float(np.linalg.norm(geometry.world_corners() - center, axis=1).max())
+    min_steps = np.full(n_params, tol_mm / radius)
+    min_steps[:3] = tol_mm
+    return min_steps
+
+
 def _register_linear(fixed, moving, config, n_params, p0=None):
     """(transform, parameter vector) of an n_params-dof MI registration."""
     _check_linear_inputs(fixed, moving)
@@ -363,23 +404,17 @@ def _register_linear(fixed, moving, config, n_params, p0=None):
         f_l = _downsample(fixed, factor)
         m_l = _downsample(moving, factor)
         cost = _MiCost(f_l, m_l, config.mi_bins, config.max_metric_samples)
-        sp = float(np.max(f_l.spacing))
         steps = np.empty(n_params)
-        steps[:3] = sp
+        steps[:3] = float(np.max(f_l.spacing))
         steps[3:6] = 0.04 * factor
-        min_steps = np.empty(n_params)
-        min_steps[:3] = 0.02
-        min_steps[3:6] = 5e-4
         if n_params == 12:
             steps[6:9] = 0.03 * factor
             steps[9:12] = 0.02 * factor
-            min_steps[6:9] = 5e-4
-            min_steps[9:12] = 5e-4
         p, _ = _coordinate_descent(
             lambda q: cost(AffineTransform(_params_to_matrix(q, center, n_params))),
             p,
             steps,
-            min_steps,
+            _min_steps(f_l.geometry, center, n_params),
             sweeps,
             config.conv_tol,
             config.conv_window,
@@ -442,7 +477,7 @@ def register_deformable(
     config = config or RegConfig()
     init = init or AffineTransform.identity()
     _check_linear_inputs(fixed, moving)
-    if sum(config.deform_iters[: len(config.shrink_factors)]) == 0:
+    if sum(config.deform_iters) == 0:
         return field_from_affine(init, fixed.geometry)
     field = None
     for factor, iters in zip(config.shrink_factors, config.deform_iters):

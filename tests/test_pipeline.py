@@ -324,8 +324,20 @@ def test_cli_stats_reports_threshold(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    [json.dumps({"reg_config": {"bogus": 1}}), json.dumps({"jlf_params": {"beta": 0}}), "{not json", "[1]", None],
-    ids=["unknown-key", "bad-value", "not-json", "json-array", "missing-file"],
+    [
+        json.dumps({"reg_config": {"bogus": 1}}),
+        json.dumps({"jlf_params": {"beta": 0}}),
+        "{not json",
+        "[1]",
+        None,
+        json.dumps({"reg_config": {"shrink_factors": [0]}}),
+        json.dumps({"reg_config": {"linear_iters": [100]}}),
+        json.dumps({"reg_config": {"deform_iters": [60, 40, -1]}}),
+    ],
+    ids=[
+        "unknown-key", "bad-value", "not-json", "json-array", "missing-file",
+        "zero-shrink", "short-levels", "negative-iters",
+    ],
 )
 def test_segment_bad_config_exits_1(tmp_path, capsys, text):
     """A config file that is not a JSON object, or that the parameter classes reject,

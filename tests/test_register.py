@@ -17,6 +17,7 @@ from atlasfuse.register import (
     DeformationField,
     RegConfig,
     _coordinate_descent,
+    _min_steps,
     _MiCost,
     _params_to_matrix,
     _smooth_field,
@@ -259,11 +260,95 @@ def test_deformable_zero_iterations_returns_affine_init(base):
     assert np.array_equal(f.disp, expect.disp)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"shrink_factors": ()},
+        {"shrink_factors": (0,), "linear_iters": (100,), "deform_iters": (60,)},
+        {"shrink_factors": (4, -2, 1)},
+        {"shrink_factors": (4, 2.5, 1)},
+        {"shrink_factors": (4, True, 1)},
+        {"linear_iters": (100,)},
+        {"deform_iters": (5,)},
+        {"deform_iters": (60, 40, 20, 10)},
+        {"linear_iters": (100, -1, 50)},
+        {"deform_iters": (60, 40, -20)},
+        {"deform_iters": (60, 40, 0.5)},
+    ],
+    ids=[
+        "no-levels", "zero-shrink", "negative-shrink", "fractional-shrink", "bool-shrink",
+        "short-linear", "short-deform", "long-deform", "negative-linear", "negative-deform",
+        "fractional-deform",
+    ],
+)
+def test_reg_config_rejects_levels_it_cannot_run(kwargs):
+    with pytest.raises(ValueError):
+        RegConfig(**kwargs)
+
+
+def test_reg_config_takes_any_sequence_of_integer_levels():
+    cfg = RegConfig(shrink_factors=[2, np.int64(1)], linear_iters=[10, 0], deform_iters=np.array([0, 3]))
+    assert cfg.shrink_factors == (2, 1) and cfg.linear_iters == (10, 0) and cfg.deform_iters == (0, 3)
+    for levels in (cfg.shrink_factors, cfg.linear_iters, cfg.deform_iters):
+        assert type(levels) is tuple and all(type(v) is int for v in levels)  # the manifest is JSON
+
+
+# --- the coordinate search's minimum steps ---
+
+
+@pytest.mark.parametrize(
+    "dims, affine",
+    [
+        ((64, 64, 64), np.eye(4)),
+        ((48, 40, 20), np.array([[0.8, 0, 0, -12.0], [0, 1.2, 0, 3.0], [0, 0, 2.5, 40.0], [0, 0, 0, 1]])),
+    ],
+    ids=["64-isotropic", "anisotropic"],
+)
+@pytest.mark.parametrize("n_params", [6, 12])
+def test_min_steps_move_the_farthest_voxel_a_twentieth(dims, affine, n_params):
+    """Each parameter's minimum step, applied alone, moves no lattice corner by
+    more than 0.05 voxel, and moves some point as far from center as the
+    farthest corner by 0.05 voxel: exactly for translations, to first order for
+    rotation, scale and shear."""
+    geom = Geometry(dims, affine)
+    center = geom.grid_world().mean(axis=0)
+    want_mm = 0.05 * float(np.max(geom.spacing))
+    corners = geom.world_corners()
+    radius = float(np.linalg.norm(corners - center, axis=1).max())
+    on_sphere = center + radius * np.vstack([np.eye(3), -np.eye(3)])
+    identity = np.zeros(n_params)
+    identity[6:9] = 1.0
+    steps = _min_steps(geom, center, n_params)
+    assert steps.shape == (n_params,)
+    for k in range(n_params):
+        p = identity.copy()
+        p[k] += steps[k]
+        t = AffineTransform(_params_to_matrix(p, center, n_params))
+        corner_mm = float(np.linalg.norm(t.map_points(corners) - corners, axis=1).max())
+        worst_mm = float(np.linalg.norm(t.map_points(on_sphere) - on_sphere, axis=1).max())
+        if k < 3:
+            assert corner_mm == pytest.approx(want_mm, rel=1e-9)
+        else:
+            # the second-order terms are (step * radius)^2 / radius, below 1e-3 of the bound
+            assert corner_mm <= want_mm * (1.0 + 1e-3)
+            assert worst_mm == pytest.approx(want_mm, rel=1e-3)
+
+
 # --- one-sample inversion against the two-sample loop ---
 
 
+def _in_lattice(geometry, world_pts):
+    """Mask of the world points whose voxel index lies in [0, d - 1] on every axis."""
+    minv = np.linalg.inv(geometry.affine)
+    idx = world_pts @ minv[:3, :3].T + minv[:3, 3]
+    return np.all((idx >= 0) & (idx <= np.array(geometry.dims) - 1), axis=1)
+
+
 def _reference_invert(field, tol_mm=0.01, max_iter=50):
-    """The inversion loop that samples the field twice per iteration."""
+    """The inversion loop that samples the field twice per iteration.
+
+    The residual is the maximum over the voxels whose x + g lies in the lattice.
+    """
     pts = field.geometry.grid_world()
     g = np.zeros_like(pts)
     best = None
@@ -272,7 +357,10 @@ def _reference_invert(field, tol_mm=0.01, max_iter=50):
     prev_res = np.inf
     for _ in range(max_iter):
         g = -field.sample_disp(pts + g)
-        res = float(np.linalg.norm(field.sample_disp(pts + g) + g, axis=1).max())
+        inside = _in_lattice(field.geometry, pts + g)
+        if not inside.any():
+            raise InversionDiverged("no voxel's inverse lies inside the lattice")
+        res = float(np.linalg.norm((field.sample_disp(pts + g) + g)[inside], axis=1).max())
         if res < best_res:
             best, best_res = g.copy(), res
         if res < tol_mm:
@@ -290,9 +378,9 @@ def _reference_invert(field, tol_mm=0.01, max_iter=50):
 class _CountingField(DeformationField):
     samples = 0
 
-    def sample_disp(self, world_pts):
+    def _sample_index(self, idx):
         self.samples += 1
-        return super().sample_disp(world_pts)
+        return super()._sample_index(idx)
 
 
 def _oracle_field(case):
@@ -304,8 +392,8 @@ def _oracle_field(case):
     if case == "converging":
         return random_diffeo(WarpSpec(seed=5, smoothness_mm=6.0, edge_taper_voxels=6), geom24)
     if case == "stalling":
-        # untapered: the inverse needs samples outside the lattice, which read
-        # 0, so the residual stalls near the boundary displacement
+        # untapered: near the boundary the inverse lies outside the lattice,
+        # where the field reads 0, so a residual over the whole lattice stalls
         spec = WarpSpec(seed=1, max_displacement_mm=2.0, smoothness_mm=4.0, edge_taper_voxels=0)
         return random_diffeo(spec, GEOM16)
     raise ValueError(case)
@@ -334,8 +422,8 @@ def test_invert_matches_two_sample_loop(case, max_iter):
     assert got.converged == want_conv
     # one field sample per iteration, plus the first; fewer if it converged
     assert counted.samples == max_iter + 1 or got.converged
-    if max_iter == 50 and case in ("converging", "stalling"):
-        assert got.converged == (case == "converging")
+    if max_iter == 50:
+        assert got.converged
 
 
 def test_invert_divergence_matches_two_sample_loop():
@@ -344,6 +432,29 @@ def test_invert_divergence_matches_two_sample_loop():
         _reference_invert(field)
     with pytest.raises(InversionDiverged) as got:
         invert_field(field)
+    assert str(got.value) == str(want.value)
+
+
+def test_invert_untapered_field_converges_where_the_inverse_exists():
+    field = _oracle_field("stalling")
+    inv = invert_field(field)
+    assert inv.converged and inv.residual_mm < 0.01
+    pts = field.geometry.grid_world()
+    g = inv.disp.reshape(-1, 3)
+    inside = _in_lattice(field.geometry, pts + g)
+    assert 0.5 < inside.mean() < 1.0  # some inverses do leave the lattice
+    composed = compose_fields(inv, field).disp.reshape(-1, 3)
+    assert float(np.linalg.norm(composed[inside], axis=1).max()) < 0.01
+
+
+@pytest.mark.parametrize("shift", [(16.0, 0.0, 0.0), (0.0, -40.0, 0.0), (0.0, 0.0, 15.5)])
+def test_invert_shift_past_the_lattice_diverges(shift):
+    """A constant shift that moves every voxel out of the lattice has no inverse on it."""
+    field = _const_field(GEOM16, shift)
+    with pytest.raises(InversionDiverged, match="inside the lattice") as got:
+        invert_field(field)
+    with pytest.raises(InversionDiverged) as want:
+        _reference_invert(field)
     assert str(got.value) == str(want.value)
 
 

@@ -143,7 +143,13 @@ def build_parser():
     pg.add_argument("--fusion", choices=("jlf", "mv"), default=None)
     pg.add_argument("--config", default=None, help="JSON config mirroring the run manifest")
     pg.add_argument("--true-warp", default=None, help="bypass registration with a known warp")
-    pg.add_argument("--workers", type=int, default=1)
+    pg.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="threads in all: priors without a cached warp are registered on N-1 extra threads "
+        "while the input is registered; the result is the same, and with every warp cached N changes nothing",
+    )
     pg.set_defaults(func=cmd_segment)
 
     pe = sub.add_parser("eval", help="compare two segmentations")

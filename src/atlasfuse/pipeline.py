@@ -92,7 +92,10 @@ def run_segment(
 
     The atlas library is only read. A prior without a cached warp is
     registered to the template in memory, and its id is listed under
-    ``notes.computed_prior_warps`` in the manifest.
+    ``notes.computed_prior_warps`` in the manifest. ``n_workers`` counts
+    threads, the calling one included: above one, those registrations start
+    on ``n_workers - 1`` pool threads before the input is registered. The
+    outputs do not depend on it.
     """
     if mode not in DEFAULT_FUSION:
         raise UsageError(f"mode must be one of {tuple(DEFAULT_FUSION)}")
@@ -106,35 +109,46 @@ def run_segment(
 
     lib = AtlasLibrary.load(atlas_dir)
     input_vol = imgio.read_volume(input_path)
-
-    # (1) rigid template -> input, (2) transfer crop box and crop
-    if true_warp_path:
-        rigid = AffineTransform.identity()
-    else:
-        rigid = register_rigid(input_vol, lib.template, config)
-    in_box = _transfer_crop_box(lib.crop_box, lib.template, rigid, input_vol)
-    in_crop = crop(input_vol, in_box)
     t_crop = crop(lib.template, lib.crop_box)
 
-    # (3) deformable cropped input vs cropped template, then one shared inverse
-    if true_warp_path:
-        fwd = imgio.read_field(true_warp_path)
-    else:
-        fwd = register_deformable(t_crop, in_crop, rigid.inverse(), config)
-    inv = resample_field(invert_field(fwd), in_crop.geometry)
+    # (0) a prior's warp to the template does not depend on the input: uncached
+    # ones start on n_workers - 1 pool threads while this thread registers the input
+    pool = ThreadPoolExecutor(max_workers=n_workers - 1) if n_workers > 1 else None
+    try:
+        futures = [
+            pool.submit(_prior_warp, p, t_crop, lib, config) if pool and p.warp_to_template is None else None
+            for p in lib.priors
+        ]
 
-    # (4) two-step prior warping, parallel over priors
-    def _warp_prior(prior):
-        total = compose_fields(inv, _prior_warp(prior, t_crop, lib, config))
-        wl = warp_labels(prior.labels, total, in_crop.geometry)
-        wi = resample(prior.intensity, in_crop.geometry, total, "trilinear")
-        return wl, wi
+        # (1) rigid template -> input, (2) transfer crop box and crop
+        if true_warp_path:
+            rigid = AffineTransform.identity()
+        else:
+            rigid = register_rigid(input_vol, lib.template, config)
+        in_box = _transfer_crop_box(lib.crop_box, lib.template, rigid, input_vol)
+        in_crop = crop(input_vol, in_box)
 
-    with ThreadPoolExecutor(max_workers=n_workers) as ex:
-        results = list(ex.map(_warp_prior, lib.priors))
+        # (3) deformable cropped input vs cropped template, then one shared inverse
+        if true_warp_path:
+            fwd = imgio.read_field(true_warp_path)
+        else:
+            fwd = register_deformable(t_crop, in_crop, rigid.inverse(), config)
+        inv = resample_field(invert_field(fwd), in_crop.geometry)
 
-    warped_labels = [r[0] for r in results]
-    warped_ints = [r[1] for r in results]
+        # (4) two-step prior warping in library order; a registration the pool
+        # has not started yet runs here instead
+        warped_labels, warped_ints = [], []
+        for prior, fut in zip(lib.priors, futures):
+            if fut is None or fut.cancel():
+                to_template = _prior_warp(prior, t_crop, lib, config)
+            else:
+                to_template = fut.result()
+            total = compose_fields(inv, to_template)
+            warped_labels.append(warp_labels(prior.labels, total, in_crop.geometry))
+            warped_ints.append(resample(prior.intensity, in_crop.geometry, total, "trilinear"))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     # (5) fuse
     if fusion == "mv":

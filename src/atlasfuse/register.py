@@ -180,6 +180,10 @@ def warp_labels(labels: LabelVolume, transform, target_geometry: Geometry) -> La
     return resample(labels, target_geometry, transform, interp="nearest")
 
 
+def _is_int(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass
 class RegConfig:
     shrink_factors: tuple = (4, 2, 1)
@@ -200,9 +204,16 @@ class RegConfig:
             raise ValueError("smoothing sigmas must be >= 0")
         for name in ("shrink_factors", "linear_iters", "deform_iters"):
             levels = tuple(getattr(self, name))
-            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in levels):
+            if not all(_is_int(v) for v in levels):
                 raise ValueError(f"{name} must hold integers, got {levels}")
             setattr(self, name, tuple(int(v) for v in levels))
+        for name, least in (("max_metric_samples", 1), ("mi_bins", 2)):
+            v = getattr(self, name)
+            if not _is_int(v) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+            setattr(self, name, int(v))
+        if not 0 <= self.jacobian_threshold <= 1:
+            raise ValueError(f"jacobian_threshold is a fraction in [0, 1], got {self.jacobian_threshold!r}")
         if len(self.shrink_factors) < 1:
             raise ValueError("need at least one pyramid level")
         if min(self.shrink_factors) < 1:

@@ -5,13 +5,14 @@ import hashlib
 import json
 import os
 import shutil
+import threading
 
 import numpy as np
 import pytest
 
-from atlasfuse import imgio
+from atlasfuse import imgio, pipeline
 from atlasfuse.cli import main
-from atlasfuse.errors import UsageError
+from atlasfuse.errors import FoldingDetected, UsageError
 from atlasfuse.grid import CropBox, crop, default_scheme, label_bounding_box
 from atlasfuse.metrics import dice
 from atlasfuse.phantom import WarpSpec, derive_atlases, make_subject, synthesized_base
@@ -109,26 +110,134 @@ def test_segment_atlas_order_independence(tmp_path, atlas_env):
     assert _sha(out_a["segmentation"]) == _sha(out_b["segmentation"])
 
 
-def test_segment_registers_uncached_prior_warps_without_writing_the_library(tmp_path, base):
-    """A warp-free library is only read: its priors are registered in memory."""
+@pytest.fixture(scope="module")
+def warp_free(tmp_path_factory, base):
+    """A 2-prior library with no cached warps on a 32^3 box, a subject, and its true warp."""
     wmn, truth, _ = base
+    root = tmp_path_factory.mktemp("warp_free")
     box = CropBox((3, 1, 7), (34, 32, 38))  # a 32^3 box holding right-side nuclei 1, 2, 4 and 5
     small = crop(wmn, box), crop(truth, box)
     lib = derive_atlases(small, n=2, seed=7)
     for prior in lib.priors:
         prior.warp_to_template = None
-    atlas = str(tmp_path / "atlas")
-    lib.save(atlas)
+    lib.save(str(root / "atlas"))
     subject, subject_truth, warp = make_subject(small, seed=2024)
-    inp, warp_path = str(tmp_path / "in.nii.gz"), str(tmp_path / "warp.nii.gz")
-    imgio.write_volume(subject, inp)
-    imgio.write_field(warp, warp_path)
-    before = _tree_sha(atlas)
-    out = run_segment(inp, atlas, str(tmp_path / "out"), fusion="mv", true_warp_path=warp_path)
-    assert _tree_sha(atlas) == before
+    imgio.write_volume(subject, str(root / "in.nii.gz"))
+    imgio.write_field(warp, str(root / "warp.nii.gz"))
+    return {
+        "atlas": str(root / "atlas"),
+        "input": str(root / "in.nii.gz"),
+        "warp": str(root / "warp.nii.gz"),
+        "truth": subject_truth,
+    }
+
+
+def _segment_warp_free(env, out_dir, n_workers):
+    return run_segment(
+        env["input"], env["atlas"], str(out_dir), fusion="mv", true_warp_path=env["warp"], n_workers=n_workers
+    )
+
+
+def _output_shas(out):
+    return {key: _sha(out[key]) for key in ("segmentation", "volumes", "manifest")}
+
+
+@pytest.fixture(scope="module")
+def warp_free_serial(tmp_path_factory, warp_free):
+    """sha256 of each output of one single-threaded segment on the warp-free library."""
+    return _output_shas(_segment_warp_free(warp_free, tmp_path_factory.mktemp("serial"), 1))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_segment_registers_uncached_prior_warps_without_writing_the_library(
+    tmp_path, warp_free, warp_free_serial, workers
+):
+    """A warp-free library is only read: its priors are registered in memory,
+    and how many threads do so changes no byte of any output."""
+    before = _tree_sha(warp_free["atlas"])
+    out = _segment_warp_free(warp_free, tmp_path / "out", workers)
+    assert _tree_sha(warp_free["atlas"]) == before
     assert json.load(open(out["manifest"]))["notes"]["computed_prior_warps"] == ["prior00", "prior01"]
     seg = imgio.read_volume(out["segmentation"], as_labels=True)
-    assert dice(seg, subject_truth, -1) > 0.85
+    assert dice(seg, warp_free["truth"], -1) > 0.85
+    assert _output_shas(out) == warp_free_serial
+
+
+_WAIT_S = 30  # a regression fails after this long instead of hanging
+
+
+def _trace_threads(monkeypatch, wait_for_prior):
+    """Record the prior registrations and every thread started from here on.
+
+    The input's inversion (run even with a true warp) notes whether a prior
+    registration has started by then; with ``wait_for_prior`` it first waits
+    up to ``_WAIT_S`` for one to start."""
+    rec = {"prior_threads": [], "started": [], "prior_before_invert": None}
+    prior_started = threading.Event()
+    real_prior_warp, real_invert, real_start = pipeline._prior_warp, pipeline.invert_field, threading.Thread.start
+
+    def prior_warp(*args):
+        rec["prior_threads"].append(threading.get_ident())
+        prior_started.set()
+        return real_prior_warp(*args)
+
+    def invert_field(*args, **kwargs):
+        rec["prior_before_invert"] = prior_started.wait(_WAIT_S) if wait_for_prior else prior_started.is_set()
+        return real_invert(*args, **kwargs)
+
+    def start(thread):
+        rec["started"].append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(pipeline, "_prior_warp", prior_warp)
+    monkeypatch.setattr(pipeline, "invert_field", invert_field)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return rec
+
+
+def test_uncached_priors_register_while_the_input_registers(tmp_path, warp_free, monkeypatch):
+    rec = _trace_threads(monkeypatch, wait_for_prior=True)
+    _segment_warp_free(warp_free, tmp_path / "out", 2)
+    assert rec["prior_before_invert"]
+    assert rec["prior_threads"][0] != threading.get_ident()  # the first ran on the pool
+    assert len(rec["started"]) == 1 and not rec["started"][0].is_alive()
+
+
+def test_one_worker_registers_priors_inline_on_the_calling_thread(tmp_path, warp_free, monkeypatch):
+    rec = _trace_threads(monkeypatch, wait_for_prior=False)
+    _segment_warp_free(warp_free, tmp_path / "out", 1)
+    assert rec["prior_before_invert"] is False
+    assert rec["prior_threads"] == [threading.get_ident()] * 2
+    assert rec["started"] == []
+
+
+def test_cached_warps_start_no_thread_at_any_worker_count(tmp_path, atlas_env, monkeypatch):
+    rec = _trace_threads(monkeypatch, wait_for_prior=False)
+    kwargs = dict(fusion="mv", true_warp_path=atlas_env["subject_warp"], n_workers=4)
+    run_segment(atlas_env["subject"], atlas_env["atlas"], str(tmp_path / "out"), **kwargs)
+    assert rec["started"] == []
+
+
+def test_prior_registration_failure_on_a_pool_thread_propagates(tmp_path, warp_free, monkeypatch):
+    """FoldingDetected raised while the pool registers a prior ends the call
+    (CLI exit 3), and no pool thread outlives it."""
+    rec = _trace_threads(monkeypatch, wait_for_prior=True)
+    failed_on = []
+
+    def folding(*args, **kwargs):
+        failed_on.append(threading.get_ident())
+        raise FoldingDetected("positive-Jacobian fraction 0.5 below 0.999")
+
+    monkeypatch.setattr(pipeline, "register_deformable", folding)
+    with pytest.raises(FoldingDetected):
+        _segment_warp_free(warp_free, tmp_path / "a", 2)
+    assert failed_on[0] != threading.get_ident()
+    assert rec["started"] and not any(t.is_alive() for t in rec["started"])
+
+    args = ["segment", "--input", warp_free["input"], "--atlas", warp_free["atlas"], "--out-dir", str(tmp_path / "b")]
+    assert main(args + ["--fusion", "mv", "--true-warp", warp_free["warp"], "--workers", "2"]) == 3
+    assert not any(t.is_alive() for t in rec["started"])
+    assert not (tmp_path / "b" / "segmentation.nii.gz").exists()
 
 
 def test_segment_bad_mode_rejected(tmp_path, atlas_env):
@@ -333,10 +442,15 @@ def test_cli_stats_reports_threshold(tmp_path):
         json.dumps({"reg_config": {"shrink_factors": [0]}}),
         json.dumps({"reg_config": {"linear_iters": [100]}}),
         json.dumps({"reg_config": {"deform_iters": [60, 40, -1]}}),
+        json.dumps({"reg_config": {"max_metric_samples": 0}}),
+        json.dumps({"reg_config": {"mi_bins": 0}}),
+        json.dumps({"reg_config": {"mi_bins": 2.5}}),
+        json.dumps({"reg_config": {"jacobian_threshold": 1.5}}),
     ],
     ids=[
         "unknown-key", "bad-value", "not-json", "json-array", "missing-file",
         "zero-shrink", "short-levels", "negative-iters",
+        "no-metric-samples", "zero-bins", "fractional-bins", "jacobian-above-one",
     ],
 )
 def test_segment_bad_config_exits_1(tmp_path, capsys, text):

@@ -274,11 +274,21 @@ def test_deformable_zero_iterations_returns_affine_init(base):
         {"linear_iters": (100, -1, 50)},
         {"deform_iters": (60, 40, -20)},
         {"deform_iters": (60, 40, 0.5)},
+        {"max_metric_samples": 0},
+        {"max_metric_samples": 1000.0},
+        {"mi_bins": 0},
+        {"mi_bins": 1},
+        {"mi_bins": 2.5},
+        {"mi_bins": True},
+        {"jacobian_threshold": 1.5},
+        {"jacobian_threshold": -0.1},
+        {"jacobian_threshold": float("nan")},
     ],
     ids=[
         "no-levels", "zero-shrink", "negative-shrink", "fractional-shrink", "bool-shrink",
         "short-linear", "short-deform", "long-deform", "negative-linear", "negative-deform",
-        "fractional-deform",
+        "fractional-deform", "no-metric-samples", "float-metric-samples", "zero-bins", "one-bin",
+        "fractional-bins", "bool-bins", "jacobian-above-one", "negative-jacobian", "nan-jacobian",
     ],
 )
 def test_reg_config_rejects_levels_it_cannot_run(kwargs):
@@ -291,6 +301,8 @@ def test_reg_config_takes_any_sequence_of_integer_levels():
     assert cfg.shrink_factors == (2, 1) and cfg.linear_iters == (10, 0) and cfg.deform_iters == (0, 3)
     for levels in (cfg.shrink_factors, cfg.linear_iters, cfg.deform_iters):
         assert type(levels) is tuple and all(type(v) is int for v in levels)  # the manifest is JSON
+    cfg = RegConfig(mi_bins=np.int64(16), max_metric_samples=np.int32(1))
+    assert type(cfg.mi_bins) is int and type(cfg.max_metric_samples) is int
 
 
 # --- the coordinate search's minimum steps ---

@@ -31,18 +31,12 @@ def _load_config_file(path):
     return cfg
 
 
-def _reg_config(cfg: dict) -> RegConfig:
+def _params(cls, cfg: dict, key: str):
+    """cls built from the config's ``key`` section; a bad section is a usage error."""
     try:
-        return RegConfig(**cfg.get("reg_config", {}))
+        return cls(**cfg.get(key, {}))
     except (TypeError, ValueError) as e:
-        raise UsageError(f"bad reg_config: {e}") from e
-
-
-def _jlf_params(cfg: dict) -> JlfParams:
-    try:
-        return JlfParams(**cfg.get("jlf_params", {}))
-    except (TypeError, ValueError) as e:
-        raise UsageError(f"bad jlf_params: {e}") from e
+        raise UsageError(f"bad {key}: {e}") from e
 
 
 def cmd_synth(args):
@@ -65,8 +59,8 @@ def cmd_segment(args):
         args.out_dir,
         mode=mode,
         fusion=fusion,
-        reg_config=_reg_config(cfg),
-        jlf_params=_jlf_params(cfg),
+        reg_config=_params(RegConfig, cfg, "reg_config"),
+        jlf_params=_params(JlfParams, cfg, "jlf_params"),
         true_warp_path=args.true_warp,
         n_workers=args.workers,
         tool_version=__version__,

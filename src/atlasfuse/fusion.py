@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyAtlasList, GeometryMismatch, SingularDependency
-from .grid import LabelVolume, VolumeGrid, require_common_grid
+from .grid import LabelVolume, VolumeGrid, _is_int, require_common_grid
 
 _CHUNK = 256  # disagreeing voxels scored together; (chunk x patch) buffers stay in cache
 _WINDOW_CAP = 1 << 20  # float64 elements in one z-scored centre window (8 MiB)
@@ -62,12 +62,18 @@ class JlfParams:
     absolute_epsilon: float | None = None  # overrides epsilon_scale when set
 
     def __post_init__(self):
-        if self.patch_radius < 0 or self.search_radius < 0:
-            raise ValueError("radii must be >= 0")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
-        if self.epsilon_scale <= 0 and self.absolute_epsilon is None:
-            raise ValueError("epsilon must be > 0")
+        for name in ("patch_radius", "search_radius"):
+            r = getattr(self, name)
+            if not _is_int(r) or r < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {r!r}")
+            setattr(self, name, int(r))
+        for name in ("beta", "epsilon_scale"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        eps = self.absolute_epsilon
+        if eps is not None and not (np.isfinite(eps) and eps >= 0):
+            raise ValueError(f"absolute_epsilon must be None or finite and >= 0, got {eps!r}")
 
 
 def majority_vote(warped_labels) -> LabelVolume:

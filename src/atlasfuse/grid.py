@@ -31,6 +31,11 @@ from .errors import (
 _DET_EPS = 1e-12
 
 
+def _is_int(v):
+    """True for a Python or numpy integer, but not a bool: a count of voxels or levels."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Geometry:
     """Lattice description: voxel counts and the index->world affine (mm)."""

@@ -15,7 +15,7 @@ from .grid import Geometry, LabelVolume, VolumeGrid, default_scheme, label_bound
 from .library import AtlasLibrary, AtlasPrior
 from .register import DeformationField, _smooth_field, invert_field
 from . import grid as _grid
-from .synth import SynthesisParams, synthesize_wmn
+from .synth import synthesize_wmn
 
 
 @dataclass
@@ -28,12 +28,8 @@ class Nucleus:
 
 @dataclass
 class PhantomSpec:
-    dims: tuple = (64, 64, 64)
-    spacing_mm: float = 1.0
     seed: int = 0
     nuclei: list = field(default_factory=list)  # empty -> default bilateral set
-    surround_t1_ms: float = 1082.0  # near the 750 ms null point
-    head_semi_axes_mm: tuple = (24.0, 30.0, 26.0)
     noise_sigma: float = 0.0  # fraction of the T1 range
 
 
@@ -42,9 +38,15 @@ class WarpSpec:
     seed: int = 0
     max_displacement_mm: float = 3.0
     smoothness_mm: float = 6.0
-    min_jacobian: float = 0.05
     edge_taper_voxels: int = 8  # displacements fade to 0 at the lattice boundary
 
+
+# every phantom lies on one 64^3 lattice at 1 mm, inside an ellipsoidal head
+_DIMS = (64, 64, 64)
+_HEAD_SEMI_AXES_MM = (24.0, 30.0, 26.0)
+_SURROUND_T1_MS = 1082.0  # near the 750 ms null point
+_MIN_JACOBIAN = 0.05  # a random warp's least Jacobian determinant must exceed this
+_CROP_MARGIN = 5  # voxels around the labels in a derived library's crop box
 
 # default bilateral layout: 12 ellipsoids per side on a 4x3 grid of slots
 _DEFAULT_SEMI_AXES = {
@@ -78,26 +80,21 @@ def default_nuclei() -> list:
     return out
 
 
-def _phantom_geometry(spec: PhantomSpec) -> Geometry:
-    s = spec.spacing_mm
-    return Geometry(spec.dims, np.diag([s, s, s, 1.0]))
-
-
 def generate_phantom(spec: PhantomSpec | None = None):
     """Build (t1_map, truth_labels); deterministic for a given seed."""
     spec = spec or PhantomSpec()
     nuclei = spec.nuclei or default_nuclei()
-    geom = _phantom_geometry(spec)
+    geom = Geometry(_DIMS, np.eye(4))
     world = geom.grid_world()
 
     t1 = np.zeros(geom.dims)
     labels = np.zeros(geom.dims, dtype=np.int32)
     head = (
-        ((world - (np.array(geom.dims) - 1) * spec.spacing_mm / 2.0) / spec.head_semi_axes_mm) ** 2
+        ((world - (np.array(geom.dims) - 1) / 2.0) / _HEAD_SEMI_AXES_MM) ** 2
     ).sum(axis=1) <= 1.0
-    t1.flat[head.nonzero()[0]] = spec.surround_t1_ms
+    t1.flat[head.nonzero()[0]] = _SURROUND_T1_MS
 
-    hi = np.array([(d - 1) * spec.spacing_mm for d in geom.dims])
+    hi = np.array(geom.dims, dtype=float) - 1
     for nuc in nuclei:
         c = np.asarray(nuc.center_mm, dtype=float)
         a = np.asarray(nuc.semi_axes_mm, dtype=float)
@@ -148,9 +145,9 @@ def random_diffeo(spec: WarpSpec, geometry: Geometry) -> DeformationField:
         return DeformationField.zero(geometry)
     field = DeformationField(geometry, raw * (spec.max_displacement_mm / peak))
     min_det = float(field.jacobian_determinants().min())
-    if min_det <= spec.min_jacobian:
+    if min_det <= _MIN_JACOBIAN:
         raise JacobianViolation(
-            f"min Jacobian {min_det:.4f} <= {spec.min_jacobian}; "
+            f"min Jacobian {min_det:.4f} <= {_MIN_JACOBIAN}; "
             "reduce max displacement or increase smoothness"
         )
     return field
@@ -181,7 +178,6 @@ def derive_atlases(
     seed: int = 0,
     warp_spec: WarpSpec | None = None,
     noise_sigma: float = 0.01,
-    crop_margin: int = 5,
 ) -> AtlasLibrary:
     """Phantom-scale atlas library: n warped copies of a labeled base volume.
 
@@ -203,7 +199,7 @@ def derive_atlases(
         priors.append(AtlasPrior(id=f"prior{i:02d}", intensity=pint, labels=plab, warp_to_template=fwd))
         back_warped.append(_grid.resample(pint, intensity.geometry, fwd, "trilinear").data)
     template = intensity.with_data(np.mean(back_warped, axis=0))
-    box = label_bounding_box(labels, margin=crop_margin)
+    box = label_bounding_box(labels, margin=_CROP_MARGIN)
     return AtlasLibrary(template=template, crop_box=box, scheme=labels.scheme, priors=priors)
 
 
@@ -222,8 +218,8 @@ def make_subject(
     return _warped_copy(base, ws, noise_sigma, ws.seed + 700001)
 
 
-def synthesized_base(spec: PhantomSpec | None = None, ti_ms: float = 750.0):
+def synthesized_base(spec: PhantomSpec | None = None):
     """Convenience: phantom T1 map plus its synthesized WMn intensity image."""
     t1_map, truth = generate_phantom(spec)
-    wmn = synthesize_wmn(t1_map, SynthesisParams(ti_ms=ti_ms))
+    wmn = synthesize_wmn(t1_map)
     return wmn, truth, t1_map

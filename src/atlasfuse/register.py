@@ -26,7 +26,7 @@ from .errors import (
     NoOverlap,
     NonInvertibleTransform,
 )
-from .grid import Geometry, LabelVolume, VolumeGrid, resample
+from .grid import Geometry, LabelVolume, VolumeGrid, _is_int, resample
 
 
 class AffineTransform:
@@ -180,8 +180,16 @@ def warp_labels(labels: LabelVolume, transform, target_geometry: Geometry) -> La
     return resample(labels, target_geometry, transform, interp="nearest")
 
 
-def _is_int(v):
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+# The fixed registration recipe; only the pyramid is configurable (RegConfig).
+_MI_BINS = 32
+_MAX_METRIC_SAMPLES = 50000
+_CC_RADIUS = 2  # LNCC window half-width, voxels
+_SIGMA_UPDATE = 1.0  # smoothing of each demons update, voxels
+_SIGMA_TOTAL = 0.5  # smoothing of the accumulated field, voxels
+_STEP_LENGTH = 1.0  # peak demons update, voxels
+_CONV_TOL = 1e-5  # a level stalls once its metric moves less than this, relative,
+_CONV_WINDOW = 10  # over this many sweeps or demons iterations
+_JACOBIAN_THRESHOLD = 0.999  # least positive-Jacobian fraction of a deformable result
 
 
 @dataclass
@@ -189,31 +197,13 @@ class RegConfig:
     shrink_factors: tuple = (4, 2, 1)
     linear_iters: tuple = (100, 75, 50)  # max coordinate-descent sweeps per level
     deform_iters: tuple = (60, 40, 20)
-    mi_bins: int = 32
-    cc_radius: int = 2  # voxels
-    sigma_update: float = 1.0  # voxels
-    sigma_total: float = 0.5  # voxels
-    step_length: float = 1.0  # deformable step, voxels
-    conv_tol: float = 1e-5
-    conv_window: int = 10
-    max_metric_samples: int = 50000
-    jacobian_threshold: float = 0.999
 
     def __post_init__(self):
-        if self.sigma_update < 0 or self.sigma_total < 0:
-            raise ValueError("smoothing sigmas must be >= 0")
         for name in ("shrink_factors", "linear_iters", "deform_iters"):
             levels = tuple(getattr(self, name))
             if not all(_is_int(v) for v in levels):
                 raise ValueError(f"{name} must hold integers, got {levels}")
             setattr(self, name, tuple(int(v) for v in levels))
-        for name, least in (("max_metric_samples", 1), ("mi_bins", 2)):
-            v = getattr(self, name)
-            if not _is_int(v) or v < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
-            setattr(self, name, int(v))
-        if not 0 <= self.jacobian_threshold <= 1:
-            raise ValueError(f"jacobian_threshold is a fraction in [0, 1], got {self.jacobian_threshold!r}")
         if len(self.shrink_factors) < 1:
             raise ValueError("need at least one pyramid level")
         if min(self.shrink_factors) < 1:
@@ -414,7 +404,7 @@ def _register_linear(fixed, moving, config, n_params, p0=None):
     for factor, sweeps in zip(config.shrink_factors, config.linear_iters):
         f_l = _downsample(fixed, factor)
         m_l = _downsample(moving, factor)
-        cost = _MiCost(f_l, m_l, config.mi_bins, config.max_metric_samples)
+        cost = _MiCost(f_l, m_l, _MI_BINS, _MAX_METRIC_SAMPLES)
         steps = np.empty(n_params)
         steps[:3] = float(np.max(f_l.spacing))
         steps[3:6] = 0.04 * factor
@@ -427,8 +417,8 @@ def _register_linear(fixed, moving, config, n_params, p0=None):
             steps,
             _min_steps(f_l.geometry, center, n_params),
             sweeps,
-            config.conv_tol,
-            config.conv_window,
+            _CONV_TOL,
+            _CONV_WINDOW,
         )
     return AffineTransform(_params_to_matrix(p, center, n_params)), p
 
@@ -500,7 +490,7 @@ def register_deformable(
         else:
             field = resample_field(field, geom)
         ainv3 = np.linalg.inv(geom.affine[:3, :3])
-        step_mm = config.step_length * float(np.min(geom.spacing))
+        step_mm = _STEP_LENGTH * float(np.min(geom.spacing))
         pts = geom.grid_world()
         history = []
         prev = field
@@ -508,7 +498,7 @@ def register_deformable(
         step = step_mm
         for _ in range(iters):
             warped = m_l.sample(pts + field.disp.reshape(-1, 3)).reshape(geom.dims)
-            force, metric = _lncc_force(f_l.data, warped, config.cc_radius, ainv3)
+            force, metric = _lncc_force(f_l.data, warped, _CC_RADIUS, ainv3)
             if metric < prev_metric - 1e-12:
                 # metric regression: revert and halve the step
                 field = prev
@@ -519,18 +509,16 @@ def register_deformable(
             prev = field
             prev_metric = metric
             history.append(metric)
-            if _stalled(history, config.conv_window, config.conv_tol):
+            if _stalled(history, _CONV_WINDOW, _CONV_TOL):
                 break
             norms = np.linalg.norm(force, axis=-1)
             peak = float(norms.max())
             if peak <= 0:
                 break
-            update = _smooth_field(force * (step / peak), config.sigma_update)
+            update = _smooth_field(force * (step / peak), _SIGMA_UPDATE)
             field = compose_fields(DeformationField(geom, update), field)
-            field = DeformationField(geom, _smooth_field(field.disp, config.sigma_total))
+            field = DeformationField(geom, _smooth_field(field.disp, _SIGMA_TOTAL))
     frac = field.positive_jacobian_fraction()
-    if frac < config.jacobian_threshold:
-        raise FoldingDetected(
-            f"positive-Jacobian fraction {frac:.4f} below {config.jacobian_threshold}"
-        )
+    if frac < _JACOBIAN_THRESHOLD:
+        raise FoldingDetected(f"positive-Jacobian fraction {frac:.4f} below {_JACOBIAN_THRESHOLD}")
     return field

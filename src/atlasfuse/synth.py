@@ -15,6 +15,7 @@ from .errors import GeometryMismatch, NonPositiveTI
 from .grid import VolumeGrid
 
 DEFAULT_TI_MS = 750.0
+T1_FLOOR_MS = 1.0  # a T1 at or below this is a failed fit or background
 
 
 @dataclass
@@ -22,13 +23,10 @@ class SynthesisParams:
     ti_ms: float = DEFAULT_TI_MS
     m0: VolumeGrid | None = None  # None -> constant M0 = 1
     signed: bool = False  # default output is magnitude
-    t1_floor_ms: float = 1.0
 
     def __post_init__(self):
         if self.ti_ms <= 0:
             raise NonPositiveTI(f"TI must be positive, got {self.ti_ms}")
-        if self.t1_floor_ms < 0:
-            raise NonPositiveTI("t1_floor must be >= 0")
 
 
 def null_point_t1(ti_ms: float) -> float:
@@ -47,7 +45,7 @@ def synthesize_wmn(t1_map: VolumeGrid, params: SynthesisParams | None = None) ->
         m0 = params.m0.data
     else:
         m0 = 1.0
-    valid = t1 > params.t1_floor_ms
+    valid = t1 > T1_FLOOR_MS
     out = np.zeros_like(t1, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore"):
         s = m0 * (1.0 - 2.0 * np.exp(-params.ti_ms / np.where(valid, t1, 1.0)))

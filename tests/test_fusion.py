@@ -165,6 +165,34 @@ def test_jlf_params_validation():
         JlfParams(epsilon_scale=0.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"patch_radius": 1.5},
+        {"search_radius": 2.0},
+        {"patch_radius": True},
+        {"beta": float("nan")},
+        {"beta": float("inf")},
+        {"epsilon_scale": float("nan")},
+        {"absolute_epsilon": float("nan")},
+        {"absolute_epsilon": -1e-3},
+    ],
+    ids=[
+        "fractional-patch", "float-search", "bool-patch", "nan-beta", "inf-beta",
+        "nan-epsilon-scale", "nan-absolute-epsilon", "negative-absolute-epsilon",
+    ],
+)
+def test_jlf_params_rejects_what_it_cannot_run(kwargs):
+    with pytest.raises(ValueError):
+        JlfParams(**kwargs)
+
+
+def test_jlf_params_takes_integer_radii_and_a_zero_absolute_epsilon():
+    params = JlfParams(patch_radius=np.int64(0), search_radius=np.int32(1), absolute_epsilon=0.0)
+    assert (params.patch_radius, params.search_radius) == (0, 1)
+    assert type(params.patch_radius) is int and type(params.search_radius) is int  # the manifest is JSON
+
+
 def test_jlf_list_length_mismatch():
     target = _vol(np.zeros((4, 4, 4)))
     lab = _lab(np.zeros((4, 4, 4)))

@@ -42,7 +42,9 @@ def test_segment_outputs_exist_and_manifest_is_self_describing(segment_run, atla
         assert os.path.isfile(segment_run[key])
     man = json.load(open(segment_run["manifest"]))
     assert man["mode"] == "wmn" and man["fusion"] == "jlf"
-    assert man["reg_config"]["mi_bins"] == 32
+    assert man["reg_config"] == {
+        "shrink_factors": [4, 2, 1], "linear_iters": [100, 75, 50], "deform_iters": [60, 40, 20]
+    }
     assert man["jlf_params"]["patch_radius"] == 2
     assert set(man["input_hashes"]) == {"input", "template"}
     assert man["input_hashes"]["input"] == _sha(atlas_env["subject"])
@@ -446,11 +448,17 @@ def test_cli_stats_reports_threshold(tmp_path):
         json.dumps({"reg_config": {"mi_bins": 0}}),
         json.dumps({"reg_config": {"mi_bins": 2.5}}),
         json.dumps({"reg_config": {"jacobian_threshold": 1.5}}),
+        json.dumps({"reg_config": {"cc_radius": -1}}),
+        json.dumps({"reg_config": {"step_length": -1}}),
+        json.dumps({"reg_config": {"conv_window": -3}}),
+        json.dumps({"jlf_params": {"patch_radius": 1.5}}),
+        json.dumps({"jlf_params": {"beta": float("nan")}}),
     ],
     ids=[
         "unknown-key", "bad-value", "not-json", "json-array", "missing-file",
         "zero-shrink", "short-levels", "negative-iters",
         "no-metric-samples", "zero-bins", "fractional-bins", "jacobian-above-one",
+        "negative-cc-radius", "negative-step", "negative-stall-window", "fractional-patch", "nan-beta",
     ],
 )
 def test_segment_bad_config_exits_1(tmp_path, capsys, text):
@@ -463,6 +471,24 @@ def test_segment_bad_config_exits_1(tmp_path, capsys, text):
     args = ["segment", "--input", missing_input, "--atlas", missing_atlas, "--out-dir", str(tmp_path / "o")]
     assert main(args + ["--config", str(path)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+
+
+def test_segment_manifest_round_trips_as_a_config(tmp_path, warp_free):
+    """--config mirrors the run manifest: fed back in, a manifest reproduces its run byte for byte."""
+    first = {
+        "mode": "mp2uni",
+        "reg_config": {"shrink_factors": [2, 1], "linear_iters": [10, 5], "deform_iters": [20, 10]},
+        "jlf_params": {"patch_radius": 1},
+    }
+    (tmp_path / "first.json").write_text(json.dumps(first))
+    args = ["segment", "--input", warp_free["input"], "--atlas", warp_free["atlas"], "--true-warp", warp_free["warp"]]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--out-dir", str(a), "--config", str(tmp_path / "first.json")]) == 0
+    assert main(args + ["--out-dir", str(b), "--config", str(a / "manifest.json")]) == 0
+    for name in ("segmentation.nii.gz", "volumes.csv", "manifest.json"):
+        assert _sha(a / name) == _sha(b / name), name
+    man = json.load(open(b / "manifest.json"))
+    assert (man["mode"], man["fusion"], man["reg_config"]) == ("mp2uni", "mv", first["reg_config"])
 
 
 @pytest.mark.parametrize("workers", [0, -3])

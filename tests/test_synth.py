@@ -43,7 +43,7 @@ def test_t1_zero_maps_to_zero_in_both_modes():
 
 
 def test_t1_floor_masks_failed_fits():
-    out = synthesize_wmn(_t1_volume([0.5, -3.0]), SynthesisParams(t1_floor_ms=1.0))
+    out = synthesize_wmn(_t1_volume([0.5, -3.0]))
     assert np.all(out.data == 0.0)
 
 

@@ -95,9 +95,12 @@ def cmd_stats(args):
 
 
 def cmd_phantom(args):
-    spec = PhantomSpec(seed=args.seed, noise_sigma=args.noise)
+    try:
+        spec = PhantomSpec(seed=args.seed, noise_sigma=args.noise)
+        warp = WarpSpec(seed=args.seed, max_displacement_mm=args.max_warp_mm)
+    except ValueError as e:
+        raise UsageError(f"bad phantom option: {e}") from e
     base_int, truth, t1_map = synthesized_base(spec)
-    warp = WarpSpec(seed=args.seed, max_displacement_mm=args.max_warp_mm)
     lib = derive_atlases((base_int, truth), n=args.n_atlases, seed=args.seed, warp_spec=warp)
     lib.save(args.out_dir)
     subj_int, subj_truth, subj_warp = make_subject(

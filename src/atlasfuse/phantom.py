@@ -32,6 +32,9 @@ class PhantomSpec:
     nuclei: list = field(default_factory=list)  # empty -> default bilateral set
     noise_sigma: float = 0.0  # fraction of the T1 range
 
+    def __post_init__(self):
+        _check_amplitude("noise_sigma", self.noise_sigma)
+
 
 @dataclass
 class WarpSpec:
@@ -39,6 +42,14 @@ class WarpSpec:
     max_displacement_mm: float = 3.0
     smoothness_mm: float = 6.0
     edge_taper_voxels: int = 8  # displacements fade to 0 at the lattice boundary
+
+    def __post_init__(self):
+        _check_amplitude("max_displacement_mm", self.max_displacement_mm)
+
+
+def _check_amplitude(name, value):
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 # every phantom lies on one 64^3 lattice at 1 mm, inside an ellipsoidal head

@@ -443,16 +443,18 @@ def _local_sums(arr, radius):
     return uniform_filter(arr, size=2 * radius + 1, mode="nearest")
 
 
-def _lncc_force(fixed_data, warped_data, radius, ainv3):
-    """Ascent direction of local normalized cross-correlation w.r.t. displacement."""
-    f = fixed_data - _local_sums(fixed_data, radius)
+def _lncc_force(fixed_terms, warped_data, radius, ainv3):
+    """Ascent direction of local normalized cross-correlation w.r.t. displacement.
+
+    fixed_terms is (f, b, eps) of the fixed image, which depend only on the
+    pyramid level: f its deviation from the local mean, b the local sum of
+    f * f and eps the denominator floor, (1e-3 * ptp) ** 4.
+    """
+    f, b, eps = fixed_terms
     m = warped_data - _local_sums(warped_data, radius)
     a = _local_sums(f * m, radius)
-    b = _local_sums(f * f, radius)
     c = _local_sums(m * m, radius)
     denom = b * c
-    scale = float(np.ptp(fixed_data))
-    eps = max((1e-3 * scale) ** 4, 1e-30)
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = np.where(denom > eps, 2.0 * a / denom, 0.0)
         corr = np.where(c > np.sqrt(eps), a / c, 0.0)
@@ -490,24 +492,32 @@ def register_deformable(
         else:
             field = resample_field(field, geom)
         ainv3 = np.linalg.inv(geom.affine[:3, :3])
+        f = f_l.data - _local_sums(f_l.data, _CC_RADIUS)
+        eps = max((1e-3 * float(np.ptp(f_l.data))) ** 4, 1e-30)
+        fixed_terms = (f, _local_sums(f * f, _CC_RADIUS), eps)
         step_mm = _STEP_LENGTH * float(np.min(geom.spacing))
         pts = geom.grid_world()
         history = []
         prev = field
-        prev_metric = -np.inf
+        prev_force, prev_metric = None, -np.inf
         step = step_mm
+        reverted = False
         for _ in range(iters):
-            warped = m_l.sample(pts + field.disp.reshape(-1, 3)).reshape(geom.dims)
-            force, metric = _lncc_force(f_l.data, warped, _CC_RADIUS, ainv3)
-            if metric < prev_metric - 1e-12:
+            if reverted:
+                # field is prev again, whose force and metric are already known
+                force, metric = prev_force, prev_metric
+            else:
+                warped = m_l.sample(pts + field.disp.reshape(-1, 3)).reshape(geom.dims)
+                force, metric = _lncc_force(fixed_terms, warped, _CC_RADIUS, ainv3)
+            reverted = metric < prev_metric - 1e-12
+            if reverted:
                 # metric regression: revert and halve the step
                 field = prev
                 step *= 0.5
                 if step < 0.01 * float(np.min(geom.spacing)):
                     break
                 continue
-            prev = field
-            prev_metric = metric
+            prev, prev_force, prev_metric = field, force, metric
             history.append(metric)
             if _stalled(history, _CONV_WINDOW, _CONV_TOL):
                 break

@@ -25,8 +25,8 @@ class SynthesisParams:
     signed: bool = False  # default output is magnitude
 
     def __post_init__(self):
-        if self.ti_ms <= 0:
-            raise NonPositiveTI(f"TI must be positive, got {self.ti_ms}")
+        if not (np.isfinite(self.ti_ms) and self.ti_ms > 0):
+            raise NonPositiveTI(f"TI must be finite and positive, got {self.ti_ms}")
 
 
 def null_point_t1(ti_ms: float) -> float:

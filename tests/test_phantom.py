@@ -72,6 +72,14 @@ def test_nucleus_outside_grid_rejected():
         generate_phantom(spec)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+def test_specs_reject_non_finite_or_negative_amplitudes(value):
+    with pytest.raises(ValueError, match="noise_sigma"):
+        PhantomSpec(noise_sigma=value)
+    with pytest.raises(ValueError, match="max_displacement_mm"):
+        WarpSpec(max_displacement_mm=value)
+
+
 def test_random_diffeo_contract():
     geom = Geometry((48, 48, 48), np.eye(4))
     f1 = random_diffeo(WarpSpec(seed=9), geom)

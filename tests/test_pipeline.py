@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from atlasfuse import imgio, pipeline
+from atlasfuse import cli, imgio, pipeline
 from atlasfuse.cli import main
 from atlasfuse.errors import FoldingDetected, UsageError
 from atlasfuse.grid import CropBox, crop, default_scheme, label_bounding_box
@@ -417,6 +417,19 @@ def test_cli_phantom_then_segment_with_true_warp(tmp_path):
     seg = imgio.read_volume(os.path.join(seg_dir, "segmentation.nii.gz"), as_labels=True)
     truth = imgio.read_volume(os.path.join(sdir, "truth_labels.nii.gz"), as_labels=True)
     assert dice(seg, truth, -1) > 0.85
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--max-warp-mm", "nan"), ("--max-warp-mm", "inf"), ("--max-warp-mm", "-1"), ("--noise", "-0.5"), ("--noise", "nan")],
+)
+def test_cli_phantom_bad_amplitude_exits_1_before_building(tmp_path, monkeypatch, option, value):
+    built = []
+    monkeypatch.setattr(cli, "synthesized_base", lambda *a, **k: built.append(a))
+    out_dir = tmp_path / "ph"
+    assert main(["phantom", "--out-dir", str(out_dir), option, value]) == 1
+    assert built == []
+    assert not out_dir.exists()
 
 
 def test_cli_stats_reports_threshold(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter, map_coordinates
 
+from atlasfuse import register
 from atlasfuse.errors import (
     DegenerateInput,
     InversionDiverged,
@@ -634,3 +635,137 @@ def test_coordinate_descent_never_repeats_a_trial(which):
     assert len(counted.seen) == len(set(counted.seen))
     # the unmemoized loop does repeat trials here, so the memo is exercised
     assert len(set(plain.seen)) == len(counted.seen) < len(plain.seen)
+
+
+# --- demons loop against the loop that evaluates a reverted field twice ---
+
+
+def _reference_lncc_force(fixed_data, warped_data, radius, ainv3):
+    """_lncc_force computing the fixed image's terms on every call."""
+    f = fixed_data - register._local_sums(fixed_data, radius)
+    m = warped_data - register._local_sums(warped_data, radius)
+    a = register._local_sums(f * m, radius)
+    b = register._local_sums(f * f, radius)
+    c = register._local_sums(m * m, radius)
+    denom = b * c
+    scale = float(np.ptp(fixed_data))
+    eps = max((1e-3 * scale) ** 4, 1e-30)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(denom > eps, 2.0 * a / denom, 0.0)
+        corr = np.where(c > np.sqrt(eps), a / c, 0.0)
+        metric = np.where(denom > eps, (a * a) / denom, 0.0)
+    resid = coef * (f - corr * m)
+    gvox = np.stack(np.gradient(warped_data, axis=(0, 1, 2)), axis=-1)
+    return resid[..., None] * (gvox @ ainv3), float(metric.mean())
+
+
+def _reference_demons(fixed, moving, init, config, levels):
+    """register_deformable's loop warping and scoring the field after every revert.
+
+    Appends (reverts, stop) per pyramid level to levels; stop is "iters",
+    "floor", "stall" or "zero".
+    """
+    field = None
+    for factor, iters in zip(config.shrink_factors, config.deform_iters):
+        f_l = register._downsample(fixed, factor)
+        m_l = register._downsample(moving, factor)
+        geom = f_l.geometry
+        field = field_from_affine(init, geom) if field is None else resample_field(field, geom)
+        ainv3 = np.linalg.inv(geom.affine[:3, :3])
+        pts = geom.grid_world()
+        history = []
+        prev = field
+        prev_metric = -np.inf
+        step = register._STEP_LENGTH * float(np.min(geom.spacing))
+        reverts, stop = 0, "iters"
+        for _ in range(iters):
+            warped = m_l.sample(pts + field.disp.reshape(-1, 3)).reshape(geom.dims)
+            force, metric = _reference_lncc_force(f_l.data, warped, register._CC_RADIUS, ainv3)
+            if metric < prev_metric - 1e-12:
+                reverts += 1
+                field = prev
+                step *= 0.5
+                if step < 0.01 * float(np.min(geom.spacing)):
+                    stop = "floor"
+                    break
+                continue
+            prev = field
+            prev_metric = metric
+            history.append(metric)
+            if register._stalled(history, register._CONV_WINDOW, register._CONV_TOL):
+                stop = "stall"
+                break
+            peak = float(np.linalg.norm(force, axis=-1).max())
+            if peak <= 0:
+                stop = "zero"
+                break
+            update = _smooth_field(force * (step / peak), register._SIGMA_UPDATE)
+            field = compose_fields(DeformationField(geom, update), field)
+            field = DeformationField(geom, _smooth_field(field.disp, register._SIGMA_TOTAL))
+        levels.append((reverts, stop))
+    return field.disp
+
+
+def _demons_pair(base, seed):
+    """The phantom's label box and a copy pulled through a 1 mm random warp (itself if seed is None)."""
+    wmn, truth, _ = base
+    fixed = crop(wmn, label_bounding_box(truth, margin=5))
+    if seed is None:
+        return fixed, fixed
+    warp = random_diffeo(WarpSpec(seed=seed, max_displacement_mm=1.0), fixed.geometry)
+    return fixed, resample(fixed, fixed.geometry, warp, "trilinear")
+
+
+# case: (warp seed or None for moving = fixed, init translation, shrink factors,
+# demons iterations, stall tolerance, the exit each level must take)
+DEMONS_CASES = {
+    "revert-then-iters": (1, (0.4, -0.3, 0.2), (2,), (20,), None, ["iters"]),
+    "floor": (1, (0.0, 0.0, 0.0), (4, 2), (60, 40), None, ["floor", "floor"]),
+    # no bench-like pair stalls at the recipe's 1e-5 before the step floor
+    "stall": (1, (0.0, 0.0, 0.0), (2,), (200,), 1e-3, ["stall"]),
+    "zero-force": (None, (0.0, 0.0, 0.0), (2, 1), (20, 20), None, ["zero", "zero"]),
+}
+
+
+@pytest.mark.parametrize("case", DEMONS_CASES)
+def test_demons_matches_reference_loop(base, monkeypatch, case):
+    seed, shift, shrink, iters, tol, exits = DEMONS_CASES[case]
+    if tol is not None:
+        monkeypatch.setattr(register, "_CONV_TOL", tol)
+    fixed, moving = _demons_pair(base, seed)
+    config = RegConfig(shrink_factors=shrink, linear_iters=(1,) * len(shrink), deform_iters=iters)
+    levels = []
+    want = _reference_demons(fixed, moving, _translation(shift), config, levels)
+    got = register_deformable(fixed, moving, _translation(shift), config)
+    assert np.array_equal(got.disp, want)
+    assert [stop for _, stop in levels] == exits
+    if case == "zero-force":
+        # a zero force makes no update, so there is nothing to revert
+        assert levels == [(0, "zero"), (0, "zero")]
+    else:
+        assert levels[0][0] >= 1
+
+
+def test_demons_never_scores_the_same_warped_image_twice(base, monkeypatch):
+    fixed, moving = _demons_pair(base, 2)
+    config = RegConfig(shrink_factors=(4, 2), linear_iters=(1, 1), deform_iters=(60, 40))
+    levels = []
+    _reference_demons(fixed, moving, AffineTransform.identity(), config, levels)
+    assert all(reverts >= 1 for reverts, _ in levels)
+    calls = []
+    force = register._lncc_force
+
+    def spy(fixed_terms, warped, radius, ainv3):
+        calls.append((fixed_terms, warped.tobytes()))
+        return force(fixed_terms, warped, radius, ainv3)
+
+    monkeypatch.setattr(register, "_lncc_force", spy)
+    register_deformable(fixed, moving, AffineTransform.identity(), config)
+    per_level = []
+    for fixed_terms, warped in calls:
+        if not per_level or per_level[-1][0] is not fixed_terms:
+            per_level.append((fixed_terms, []))
+        per_level[-1][1].append(warped)
+    assert len(per_level) == 2
+    for _, images in per_level:
+        assert len(set(images)) == len(images)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from atlasfuse import imgio
+from atlasfuse.cli import main
 from atlasfuse.errors import GeometryMismatch, NonPositiveTI
 from atlasfuse.grid import VolumeGrid
 from atlasfuse.synth import SynthesisParams, null_point_t1, synthesize_wmn
@@ -100,3 +102,17 @@ def test_non_positive_ti():
         SynthesisParams(ti_ms=0.0)
     with pytest.raises(NonPositiveTI):
         SynthesisParams(ti_ms=-5.0)
+
+
+@pytest.mark.parametrize("ti", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_ti(ti):
+    with pytest.raises(NonPositiveTI):
+        SynthesisParams(ti_ms=ti)
+
+
+@pytest.mark.parametrize("ti", ["nan", "inf"])
+def test_cli_non_finite_ti_exits_1_without_output(tmp_path, ti):
+    t1_path, out_path = tmp_path / "t1.nii.gz", tmp_path / "wmn.nii.gz"
+    imgio.write_volume(_t1_volume([1500.0, 900.0]), str(t1_path))
+    assert main(["synth", "--t1", str(t1_path), "--ti", ti, "--out", str(out_path)]) == 1
+    assert not out_path.exists()

@@ -29,6 +29,7 @@ from .errors import (
 )
 
 _DET_EPS = 1e-12
+_AFFINE_ATOL = 1e-5  # two lattices are the same if their affines agree to this
 
 
 def _is_int(v):
@@ -100,8 +101,8 @@ class Geometry:
         w = self.world_corners()
         return w.min(axis=0), w.max(axis=0)
 
-    def close_to(self, other: "Geometry", tol: float = 1e-5) -> bool:
-        return self.dims == other.dims and np.allclose(self.affine, other.affine, atol=tol)
+    def close_to(self, other: "Geometry") -> bool:
+        return self.dims == other.dims and np.allclose(self.affine, other.affine, atol=_AFFINE_ATOL)
 
 
 @dataclass(frozen=True)
@@ -126,9 +127,6 @@ class LabelScheme:
 
     def codes(self):
         return sorted(self.entries)
-
-    def __contains__(self, code):
-        return code in self.entries
 
     def __getitem__(self, code) -> LabelEntry:
         return self.entries[code]
@@ -312,12 +310,12 @@ def crop(volume, box: CropBox):
     return volume.with_data(sub.copy(), Geometry(box.extent, affine))
 
 
-def uncrop(sub, box: CropBox, full_geometry: Geometry, fill=0):
-    """Paste a cropped volume back into the full frame at its box position."""
+def uncrop(sub, box: CropBox, full_geometry: Geometry):
+    """Paste a cropped volume back into the full frame at its box position, zero elsewhere."""
     box = box.clipped(full_geometry.dims)
     if tuple(sub.dims) != box.extent:
         raise GeometryMismatch("sub-volume extent does not match box")
-    out = np.full(full_geometry.dims, fill, dtype=sub.data.dtype)
+    out = np.zeros(full_geometry.dims, dtype=sub.data.dtype)
     lo, hi = box.lo, box.hi
     out[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1] = sub.data
     return sub.with_data(out, full_geometry)

@@ -20,12 +20,23 @@ from dataclasses import dataclass, field
 
 from . import imgio
 from .atomic import atomic_open
-from .errors import MissingFile
+from .errors import DataError, MissingFile
 from .grid import CropBox, LabelScheme, LabelVolume, VolumeGrid
 
 
 def template_path(atlas_dir):
     return os.path.join(atlas_dir, "template.nii.gz")
+
+
+def _read_json(path, build):
+    """build(path's parsed JSON); a missing file is MissingFile, a malformed one DataError."""
+    try:
+        with open(path) as f:
+            return build(json.load(f))
+    except FileNotFoundError as e:
+        raise MissingFile(path) from e
+    except (ValueError, KeyError, TypeError) as e:
+        raise DataError(f"malformed {path}: {e!r}") from e
 
 
 @dataclass
@@ -65,9 +76,8 @@ class AtlasLibrary:
         if not os.path.isfile(tpath):
             raise MissingFile(tpath)
         template = imgio.read_volume(tpath)
-        with open(os.path.join(atlas_dir, "cropbox.json")) as f:
-            box = CropBox.from_dict(json.load(f))
-        scheme = LabelScheme.from_json(os.path.join(atlas_dir, "scheme.json"))
+        box = _read_json(os.path.join(atlas_dir, "cropbox.json"), CropBox.from_dict)
+        scheme = _read_json(os.path.join(atlas_dir, "scheme.json"), LabelScheme._from_rows)
         priors = []
         pdir = os.path.join(atlas_dir, "priors")
         if not os.path.isdir(pdir):

@@ -26,6 +26,7 @@ from .grid import LabelScheme, LabelVolume, require_common_grid
 
 WHOLE_THALAMUS_CODE = -1
 DEFAULT_COMPARISONS = 13  # 12 nuclei + whole thalamus
+_ALPHA = 0.05  # significance level of one test, before the Bonferroni correction
 
 
 def _mask(labels: LabelVolume, code) -> np.ndarray:
@@ -236,14 +237,14 @@ def paired_t_test(x, y, m: int = DEFAULT_COMPARISONS, code: int = 0, name: str =
         t=float(t),
         dof=dof,
         p=p,
-        significant_raw=p < 0.05,
+        significant_raw=p < _ALPHA,
         significant_bonferroni=p < bonferroni_threshold(m),
         zero_variance=zero_var,
     )
 
 
-def bonferroni_threshold(m: int = DEFAULT_COMPARISONS, alpha: float = 0.05) -> float:
-    return alpha / m
+def bonferroni_threshold(m: int = DEFAULT_COMPARISONS) -> float:
+    return _ALPHA / m
 
 
 def write_stats_csv(results, path, m=DEFAULT_COMPARISONS):

@@ -170,6 +170,7 @@ def _warped_copy(base, spec: WarpSpec, noise_sigma: float, noise_seed: int):
     Returns (intensity, labels, fwd). The noise is Gaussian with sigma
     noise_sigma times the warped intensity's range, drawn from noise_seed.
     """
+    _check_amplitude("noise_sigma", noise_sigma)
     intensity, labels = base
     geom = intensity.geometry
     fwd = random_diffeo(spec, geom)

@@ -22,8 +22,7 @@ from . import imgio
 from .atomic import atomic_open
 from .errors import GeometryMismatch, InsufficientSubjects, RowMismatch, UsageError
 from .fusion import JlfParams, joint_label_fusion, majority_vote
-from .grid import CropBox, crop, resample, uncrop
-from .grid import default_scheme as grid_default_scheme
+from .grid import CropBox, crop, default_scheme, resample, uncrop
 from .library import AtlasLibrary, template_path
 from .metrics import (
     WHOLE_THALAMUS_CODE,
@@ -206,12 +205,10 @@ def run_eval(
     intensity_b_path=None,
     align=False,
     aggregate_hemispheres=False,
-    scheme=None,
     subject_id="",
-    reg_config: RegConfig | None = None,
 ):
-    """Compare two labelmaps; optional affine alignment of A onto B's grid."""
-    scheme = scheme or grid_default_scheme()
+    """Compare two labelmaps in the default scheme; optional affine alignment of A onto B's grid."""
+    scheme = default_scheme()
     seg_a = imgio.read_volume(seg_a_path, as_labels=True, scheme=scheme)
     seg_b = imgio.read_volume(seg_b_path, as_labels=True, scheme=scheme)
     if align:
@@ -219,7 +216,7 @@ def run_eval(
             raise UsageError("--align requires both intensity volumes")
         int_a = imgio.read_volume(intensity_a_path)
         int_b = imgio.read_volume(intensity_b_path)
-        aff = register_affine(int_b, int_a, reg_config or RegConfig())
+        aff = register_affine(int_b, int_a)
         seg_a = warp_labels(seg_a, aff, seg_b.geometry)
     elif not seg_a.geometry.close_to(seg_b.geometry):
         raise GeometryMismatch("labelmap grids differ; pass --align with intensity volumes")

@@ -129,7 +129,10 @@ def compose_fields(outer: DeformationField, inner: DeformationField) -> Deformat
     return DeformationField(outer.geometry, (d_out + d_in).reshape(outer.disp.shape))
 
 
-def invert_field(field: DeformationField, tol_mm=0.01, max_iter=50) -> DeformationField:
+_INVERT_TOL_MM = 0.01  # an inverse converges once its residual is below this
+
+
+def invert_field(field: DeformationField, max_iter=50) -> DeformationField:
     """Fixed-point inversion g <- -f(x + g(x)); residual is max |f(x+g)+g|.
 
     The sample h = f(x + g_k) that measures g_k's residual is also the next
@@ -139,8 +142,8 @@ def invert_field(field: DeformationField, tol_mm=0.01, max_iter=50) -> Deformati
     over voxels whose x + g lies inside the field's lattice, where f is
     defined: elsewhere f reads 0 and no iterate can improve the voxel. An
     iterate with no voxel inside raises InversionDiverged. The result carries
-    the best iterate's ``residual_mm`` and whether it is below tol_mm,
-    ``converged``.
+    the best iterate's ``residual_mm`` and whether it is below
+    _INVERT_TOL_MM, ``converged``.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -161,7 +164,7 @@ def invert_field(field: DeformationField, tol_mm=0.01, max_iter=50) -> Deformati
         res = float(np.linalg.norm(h + g, axis=1)[inside].max())
         if res < best_res:
             best, best_res = g, res
-        if res < tol_mm:
+        if res < _INVERT_TOL_MM:
             break
         if res > prev_res * (1.0 + 1e-9):
             grow += 1
@@ -172,7 +175,7 @@ def invert_field(field: DeformationField, tol_mm=0.01, max_iter=50) -> Deformati
         prev_res = res
     out = DeformationField(geom, best.reshape(field.disp.shape))
     out.residual_mm = best_res
-    out.converged = best_res < tol_mm
+    out.converged = best_res < _INVERT_TOL_MM
     return out
 
 
@@ -187,8 +190,6 @@ _CC_RADIUS = 2  # LNCC window half-width, voxels
 _SIGMA_UPDATE = 1.0  # smoothing of each demons update, voxels
 _SIGMA_TOTAL = 0.5  # smoothing of the accumulated field, voxels
 _STEP_LENGTH = 1.0  # peak demons update, voxels
-_CONV_TOL = 1e-5  # a level stalls once its metric moves less than this, relative,
-_CONV_WINDOW = 10  # over this many sweeps or demons iterations
 _JACOBIAN_THRESHOLD = 0.999  # least positive-Jacobian fraction of a deformable result
 
 
@@ -316,19 +317,12 @@ def _params_to_matrix(p, center, n_params):
     return m
 
 
-def _stalled(history, window, tol):
-    """True once the last value is within tol (relative) of the one window steps back."""
-    if len(history) <= window:
-        return False
-    ref = history[-window - 1]
-    return abs(history[-1] - ref) < tol * max(abs(ref), 1e-12)
-
-
-def _coordinate_descent(cost, p0, steps, min_steps, max_sweeps, tol, window):
+def _coordinate_descent(cost, p0, steps, min_steps, max_sweeps):
     """Adaptive-step coordinate search minimizing cost; returns (p, f).
 
     Each sweep tries p +/- steps[k] per coordinate, takes the first strict
     improvement and grows that step; a sweep without one halves every step.
+    The search ends once every step is below its minimum, or after max_sweeps.
     Costs are memoized by the trial vector's bytes for the length of one call:
     a coordinate whose step and base point did not change since the previous
     sweep would otherwise re-evaluate the same candidates.
@@ -344,7 +338,6 @@ def _coordinate_descent(cost, p0, steps, min_steps, max_sweeps, tol, window):
     p = np.asarray(p0, dtype=float).copy()
     steps = np.asarray(steps, dtype=float).copy()
     f = cached(p)
-    history = [f]
     for _ in range(max_sweeps):
         improved = False
         for k in range(len(p)):
@@ -361,9 +354,6 @@ def _coordinate_descent(cost, p0, steps, min_steps, max_sweeps, tol, window):
             steps *= 0.5
             if np.all(steps < min_steps):
                 break
-        history.append(f)
-        if _stalled(history, window, tol) and np.all(steps < min_steps * 8):
-            break
     return p, f
 
 
@@ -417,8 +407,6 @@ def _register_linear(fixed, moving, config, n_params, p0=None):
             steps,
             _min_steps(f_l.geometry, center, n_params),
             sweeps,
-            _CONV_TOL,
-            _CONV_WINDOW,
         )
     return AffineTransform(_params_to_matrix(p, center, n_params)), p
 
@@ -429,9 +417,9 @@ def register_rigid(fixed: VolumeGrid, moving: VolumeGrid, config: RegConfig | No
     return _register_linear(fixed, moving, config, 6)[0]
 
 
-def register_affine(fixed: VolumeGrid, moving: VolumeGrid, config: RegConfig | None = None):
-    """12-dof affine registration, seeded with the rigid stage's parameters."""
-    config = config or RegConfig()
+def register_affine(fixed: VolumeGrid, moving: VolumeGrid):
+    """12-dof affine registration under the default RegConfig, seeded with the rigid stage's parameters."""
+    config = RegConfig()
     _, rigid_p = _register_linear(fixed, moving, config, 6)
     return _register_linear(fixed, moving, config, 12, p0=rigid_p)[0]
 
@@ -476,7 +464,11 @@ def register_deformable(
     init: AffineTransform | None = None,
     config: RegConfig | None = None,
 ) -> DeformationField:
-    """Diffeomorphic-demons-style registration; returns field with init folded in."""
+    """Diffeomorphic-demons-style registration; returns field with init folded in.
+
+    A pyramid level ends once halvings take its step below 0.01 voxel, after
+    its deform_iters iterations, or on a zero force.
+    """
     config = config or RegConfig()
     init = init or AffineTransform.identity()
     _check_linear_inputs(fixed, moving)
@@ -495,22 +487,18 @@ def register_deformable(
         f = f_l.data - _local_sums(f_l.data, _CC_RADIUS)
         eps = max((1e-3 * float(np.ptp(f_l.data))) ** 4, 1e-30)
         fixed_terms = (f, _local_sums(f * f, _CC_RADIUS), eps)
-        step_mm = _STEP_LENGTH * float(np.min(geom.spacing))
         pts = geom.grid_world()
-        history = []
-        prev = field
+        prev = None
         prev_force, prev_metric = None, -np.inf
-        step = step_mm
-        reverted = False
+        step = _STEP_LENGTH * float(np.min(geom.spacing))
         for _ in range(iters):
-            if reverted:
-                # field is prev again, whose force and metric are already known
+            if field is prev:
+                # just reverted: prev's force and metric are already known
                 force, metric = prev_force, prev_metric
             else:
                 warped = m_l.sample(pts + field.disp.reshape(-1, 3)).reshape(geom.dims)
                 force, metric = _lncc_force(fixed_terms, warped, _CC_RADIUS, ainv3)
-            reverted = metric < prev_metric - 1e-12
-            if reverted:
+            if metric < prev_metric - 1e-12:
                 # metric regression: revert and halve the step
                 field = prev
                 step *= 0.5
@@ -518,9 +506,6 @@ def register_deformable(
                     break
                 continue
             prev, prev_force, prev_metric = field, force, metric
-            history.append(metric)
-            if _stalled(history, _CONV_WINDOW, _CONV_TOL):
-                break
             norms = np.linalg.norm(force, axis=-1)
             peak = float(norms.max())
             if peak <= 0:

@@ -1,6 +1,6 @@
 """Source hygiene: every name a package module imports is used in it, every
-import sits at module level, and every function, class and method the package
-defines is referenced."""
+import sits at module level, every function, class and method the package
+defines is referenced, and every defaulted parameter is passed by some call."""
 
 import ast
 import pathlib
@@ -107,3 +107,93 @@ def test_unreferenced_definition_scan_catches_a_dead_method():
         "A()\n"
     )
     assert unreferenced_definitions({"m": source}, [source]) == ["m.dead (line 7)", "m.orphan (line 11)"]
+
+
+def _defaulted_parameters(fn, offset):
+    """(name, positional index or None) of fn's parameters that have a default;
+    offset is 1 for a method, whose first parameter no call passes."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    out = [(a.arg, i - offset) for i, a in enumerate(positional) if i >= len(positional) - len(args.defaults)]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def unset_parameters(defining: dict, calling: list) -> list:
+    """Defaulted parameters of the functions and methods in the `defining`
+    sources (name -> source) that no call in the `calling` sources passes,
+    by position or by keyword, as 'module.function(parameter) (line n)'.
+
+    Calls are matched by the called name alone, so a call to any function of
+    that name counts; a call to a class counts for its __init__. A call with
+    *args passes every positional parameter, one with **kwargs every keyword.
+    """
+    params = []  # (called name, label, parameter, positional index, line)
+    for module, source in defining.items():
+        tree = ast.parse(source)
+        methods = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        methods[fn] = cls.name
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = methods.get(fn)
+            offset = 1 if cls else 0  # self or cls
+            called = cls if fn.name == "__init__" else fn.name
+            label = f"{module}.{cls}.{fn.name}" if cls else f"{module}.{fn.name}"
+            for name, index in _defaulted_parameters(fn, offset):
+                params.append((called, label, name, index, fn.lineno))
+    passed = {}  # called name -> (most positional arguments, keywords, **kwargs seen)
+    for source in calling:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            n_pos, keywords, star_kw = passed.get(name, (0, set(), False))
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            n_pos = max(n_pos, float("inf") if starred else len(call.args))
+            keywords |= {k.arg for k in call.keywords if k.arg is not None}
+            star_kw |= any(k.arg is None for k in call.keywords)
+            passed[name] = (n_pos, keywords, star_kw)
+    unset = []
+    for called, label, name, index, line in params:
+        n_pos, keywords, star_kw = passed.get(called, (0, set(), False))
+        if not (star_kw or name in keywords or (index is not None and index < n_pos)):
+            unset.append(f"{label}({name}) (line {line})")
+    return sorted(unset)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    repo = pathlib.Path(__file__).parent.parent
+    callers = [p.read_text() for d in ("tests", "bench") for p in sorted((repo / d).glob("*.py"))]
+    assert unset_parameters(package, [*package.values(), *callers]) == []
+
+
+def test_unset_parameter_scan_catches_a_default_no_call_passes():
+    source = (
+        "class A:\n"
+        "    def __init__(self, x, y=1, z=2):\n"
+        "        self.m(0, k=3)\n"
+        "    def m(self, a, b=0, *, k=1, j=2):\n"
+        "        pass\n"
+        "def f(p, q=1, r=2):\n"
+        "    pass\n"
+        "def g(s=1):\n"
+        "    pass\n"
+        "A(0, 1)\n"
+        "f(0, r=5)\n"
+        "g(*[1])\n"
+    )
+    assert unset_parameters({"m": source}, [source]) == [
+        "m.A.__init__(z) (line 2)",
+        "m.A.m(b) (line 4)",
+        "m.A.m(j) (line 4)",
+        "m.f(q) (line 6)",
+    ]

@@ -80,6 +80,15 @@ def test_specs_reject_non_finite_or_negative_amplitudes(value):
         WarpSpec(max_displacement_mm=value)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+def test_derived_images_reject_non_finite_or_negative_noise(base, value):
+    wmn, truth, _ = base
+    with pytest.raises(ValueError, match="noise_sigma"):
+        derive_atlases((wmn, truth), n=1, noise_sigma=value)
+    with pytest.raises(ValueError, match="noise_sigma"):
+        make_subject((wmn, truth), noise_sigma=value)
+
+
 def test_random_diffeo_contract():
     geom = Geometry((48, 48, 48), np.eye(4))
     f1 = random_diffeo(WarpSpec(seed=9), geom)

@@ -382,6 +382,19 @@ def test_cli_eval_geometry_mismatch_exit_2_and_cleanup(tmp_path, base):
     assert not (out_dir / "metrics.csv").exists()
 
 
+def test_cli_eval_writes_what_run_eval_writes(tmp_path, capsys, segment_run, atlas_env):
+    seg, truth = segment_run["segmentation"], atlas_env["subject_truth_path"]
+    want = run_eval(seg, truth, str(tmp_path / "api"), subject_id="s0")
+    capsys.readouterr()
+    out_dir = str(tmp_path / "cli")
+    assert main(["eval", "--seg-a", seg, "--seg-b", truth, "--out-dir", out_dir, "--subject-id", "s0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    csv_path, json_path = os.path.join(out_dir, "metrics.csv"), os.path.join(out_dir, "metrics.json")
+    assert [json.loads(line) for line in lines] == [{"status": "ok", "csv": csv_path, "json": json_path}]
+    assert open(csv_path, "rb").read() == open(want["csv"], "rb").read()
+    assert os.path.isfile(json_path)
+
+
 def test_cli_failed_eval_keeps_existing_outputs(tmp_path, segment_run):
     """An eval that fails must not touch an earlier segment's outputs in its --out-dir."""
     seg_dir = tmp_path / "seg"
@@ -444,6 +457,35 @@ def test_cli_stats_reports_threshold(tmp_path):
     code = main(["stats", "--csv-a", str(tmp_path / "a.csv"), "--csv-b", str(tmp_path / "b.csv"), "--out", out_csv])
     assert code == 0
     assert os.path.isfile(out_csv)
+
+
+def _drop_first_abbrev(path):
+    rows = json.loads(path.read_text())
+    del rows[0]["abbrev"]
+    path.write_text(json.dumps(rows))
+
+
+# case: (how the library copy is broken, the error segment must report)
+BROKEN_LIBRARY = {
+    "missing-cropbox": (lambda lib: (lib / "cropbox.json").unlink(), "MissingFile"),
+    "missing-scheme": (lambda lib: (lib / "scheme.json").unlink(), "MissingFile"),
+    "cropbox-not-json": (lambda lib: (lib / "cropbox.json").write_text("{lo: [0"), "DataError"),
+    "cropbox-without-lo": (lambda lib: (lib / "cropbox.json").write_text("{}"), "DataError"),
+    "scheme-row-without-abbrev": (lambda lib: _drop_first_abbrev(lib / "scheme.json"), "DataError"),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_LIBRARY)
+def test_segment_broken_library_exits_2(tmp_path, capsys, warp_free, case):
+    """A library whose cropbox.json or scheme.json is missing or malformed is a data error, not a traceback."""
+    breaker, error = BROKEN_LIBRARY[case]
+    lib = tmp_path / "atlas"
+    shutil.copytree(warp_free["atlas"], lib)
+    breaker(lib)
+    args = ["segment", "--input", warp_free["input"], "--atlas", str(lib), "--out-dir", str(tmp_path / "o")]
+    assert main(args + ["--fusion", "mv", "--true-warp", warp_free["warp"]]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

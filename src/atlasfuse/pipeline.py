@@ -144,7 +144,8 @@ def run_segment(
                 to_template = fut.result()
             total = compose_fields(inv, to_template)
             warped_labels.append(warp_labels(prior.labels, total, in_crop.geometry))
-            warped_ints.append(resample(prior.intensity, in_crop.geometry, total, "trilinear"))
+            if fusion == "jlf":  # majority voting reads labels only
+                warped_ints.append(resample(prior.intensity, in_crop.geometry, total, "trilinear"))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -242,7 +243,9 @@ def _read_metrics_csv(path, metric):
 
 
 def run_stats(csv_a_path, csv_b_path, out_path, m=13, metric="dice"):
-    """Per-label paired t-tests of metric A vs B across subjects."""
+    """Per-label paired t-tests of metric A vs B across subjects; m is the Bonferroni comparison count."""
+    if m < 1:
+        raise UsageError(f"m must be >= 1, got {m}")
     a, names = _read_metrics_csv(csv_a_path, metric)
     b, _ = _read_metrics_csv(csv_b_path, metric)
     if set(a) != set(b):

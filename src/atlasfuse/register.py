@@ -26,28 +26,29 @@ from .errors import (
     NoOverlap,
     NonInvertibleTransform,
 )
-from .grid import Geometry, LabelVolume, VolumeGrid, _is_int, resample
+from .grid import Geometry, LabelVolume, VolumeGrid, _is_int, _linear_parts, _map, resample
 
 
 class AffineTransform:
-    """Homogeneous world->world transform."""
+    """Homogeneous world->world transform; matrix is a read-only copy of the one passed in."""
 
     def __init__(self, matrix):
-        self.matrix = np.asarray(matrix, dtype=float)
+        self.matrix = np.array(matrix, dtype=float)
         if self.matrix.shape != (4, 4):
             raise NonInvertibleTransform("transform matrix must be 4x4")
         if not np.allclose(self.matrix[3], [0, 0, 0, 1], atol=1e-12):
             raise NonInvertibleTransform("last row must be (0,0,0,1)")
         if abs(np.linalg.det(self.matrix[:3, :3])) < 1e-12:
             raise NonInvertibleTransform("singular transform")
+        self.matrix.flags.writeable = False
+        self._parts = _linear_parts(self.matrix)
 
     @classmethod
     def identity(cls):
         return cls(np.eye(4))
 
     def map_points(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return pts @ self.matrix[:3, :3].T + self.matrix[:3, 3]
+        return _map(pts, self._parts)
 
     def inverse(self):
         return AffineTransform(np.linalg.inv(self.matrix))
@@ -479,6 +480,7 @@ def register_deformable(
         f_l = _downsample(fixed, factor)
         m_l = _downsample(moving, factor)
         geom = f_l.geometry
+        pts = geom.grid_world()  # held for the level, so every user of the lattice shares it
         if field is None:
             field = field_from_affine(init, geom)
         else:
@@ -487,7 +489,6 @@ def register_deformable(
         f = f_l.data - _local_sums(f_l.data, _CC_RADIUS)
         eps = max((1e-3 * float(np.ptp(f_l.data))) ** 4, 1e-30)
         fixed_terms = (f, _local_sums(f * f, _CC_RADIUS), eps)
-        pts = geom.grid_world()
         prev = None
         prev_force, prev_metric = None, -np.inf
         step = _STEP_LENGTH * float(np.min(geom.spacing))

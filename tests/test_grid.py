@@ -1,5 +1,7 @@
 """Geometry, resampling, cropping and label-scheme behavior."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,77 @@ def test_index_world_inverse_roundtrip():
     g = Geometry((10, 10, 10), aff)
     idx = rng.uniform(0, 9, size=(50, 3))
     assert np.allclose(g.world_to_index(g.index_to_world(idx)), idx, atol=1e-9)
+
+
+def _random_affine(rng, kind):
+    """A random oblique, anisotropic or mirrored (negative-determinant) affine with a shift."""
+    rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    rot *= np.sign(np.linalg.det(rot))
+    lin = {
+        "oblique": rot,
+        "anisotropic": rot @ np.diag(rng.uniform(0.3, 3.0, 3)),
+        "mirrored": rot @ np.diag([-1.0, 1.0, 1.0]) * rng.uniform(0.5, 2.0),
+    }[kind]
+    aff = np.eye(4)
+    aff[:3, :3] = lin
+    aff[:3, 3] = rng.uniform(-100.0, 100.0, 3)
+    return aff
+
+
+@pytest.mark.parametrize("kind", ["oblique", "anisotropic", "mirrored"])
+@pytest.mark.parametrize("n", [1, 7, 50_000])
+def test_point_maps_give_the_bits_of_the_plain_matmul(kind, n):
+    """index_to_world, world_to_index and map_points equal x @ A[:3, :3].T + A[:3, 3] exactly,
+    for contiguous and row-strided points."""
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        aff = _random_affine(rng, kind)
+        inv = np.linalg.inv(aff)
+        geom, transform = Geometry((4, 5, 6), aff), AffineTransform(aff)
+        x = rng.uniform(-60.0, 60.0, (2 * n, 3))
+        for pts in (x[:n], x[::2]):
+            assert np.array_equal(geom.index_to_world(pts), pts @ aff[:3, :3].T + aff[:3, 3])
+            assert np.array_equal(geom.world_to_index(pts), pts @ inv[:3, :3].T + inv[:3, 3])
+            assert np.array_equal(transform.map_points(pts), pts @ aff[:3, :3].T + aff[:3, 3])
+
+
+def test_lattice_and_transform_keep_their_own_matrix():
+    """Writing to the array a Geometry or AffineTransform was made from changes neither."""
+    aff = _random_affine(np.random.default_rng(5), "anisotropic")
+    geom, transform = Geometry((3, 4, 5), aff), AffineTransform(aff)
+    pts = np.random.default_rng(6).uniform(-10.0, 10.0, (7, 3))
+
+    def maps():
+        return [geom.index_to_world(pts), geom.world_to_index(pts), geom.grid_world().copy(), transform.map_points(pts)]
+
+    before = maps()
+    aff[:3, :3] *= 3.0
+    aff[:3, 3] = -9.0
+    assert all(np.array_equal(a, b) for a, b in zip(maps(), before))
+
+
+def test_lattice_arrays_are_read_only():
+    geom, transform = Geometry((3, 4, 5), np.eye(4)), AffineTransform(np.eye(4))
+    for arr in (geom.affine, transform.matrix, geom.grid_world()):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            np.add(arr, 1.0, out=arr)
+
+
+def test_grid_world_is_shared_while_held_and_not_kept():
+    """Calls share one grid while a caller holds it; the lattice itself does not keep it."""
+    aff = _random_affine(np.random.default_rng(8), "mirrored")
+    geom = Geometry((6, 7, 8), aff)
+    grid = geom.grid_world()
+    assert geom.grid_world() is grid
+    idx = np.stack(np.meshgrid(*(np.arange(d) for d in geom.dims), indexing="ij"), axis=-1).reshape(-1, 3)
+    assert np.array_equal(grid, idx @ aff[:3, :3].T + aff[:3, 3])
+    center = grid.mean(axis=0)  # what the linear registration takes as its rotation center
+    ref = weakref.ref(grid)
+    del grid
+    assert ref() is None
+    assert np.array_equal(geom.grid_world().mean(axis=0), center)
 
 
 def test_voxel_volume():

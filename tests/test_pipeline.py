@@ -13,6 +13,7 @@ import pytest
 from atlasfuse import cli, imgio, pipeline
 from atlasfuse.cli import main
 from atlasfuse.errors import FoldingDetected, UsageError
+from atlasfuse.fusion import majority_vote
 from atlasfuse.grid import CropBox, crop, default_scheme, label_bounding_box
 from atlasfuse.metrics import dice
 from atlasfuse.phantom import WarpSpec, derive_atlases, make_subject, synthesized_base
@@ -242,6 +243,23 @@ def test_prior_registration_failure_on_a_pool_thread_propagates(tmp_path, warp_f
     assert not (tmp_path / "b" / "segmentation.nii.gz").exists()
 
 
+def test_majority_voting_warps_no_prior_intensities(tmp_path, atlas_env, monkeypatch):
+    """Only joint label fusion reads warped prior intensities, so only it resamples them,
+    one per prior; majority voting fuses the warped labels alone."""
+    real_resample, real_warp_labels = pipeline.resample, pipeline.warp_labels
+    resampled, labels = [], []
+    monkeypatch.setattr(pipeline, "resample", lambda *a, **k: resampled.append(a[0]) or real_resample(*a, **k))
+    monkeypatch.setattr(pipeline, "warp_labels", lambda *a: labels.append(real_warp_labels(*a)) or labels[-1])
+    kwargs = dict(true_warp_path=atlas_env["subject_warp"])
+    out = run_segment(atlas_env["subject"], atlas_env["atlas"], str(tmp_path / "mv"), fusion="mv", **kwargs)
+    assert resampled == [] and len(labels) == 5
+    box = CropBox.from_dict(json.load(open(out["manifest"]))["notes"]["crop_box_input"])
+    seg = imgio.read_volume(out["segmentation"], as_labels=True)
+    assert np.array_equal(crop(seg, box).data, majority_vote(labels).data)
+    run_segment(atlas_env["subject"], atlas_env["atlas"], str(tmp_path / "jlf"), fusion="jlf", **kwargs)
+    assert len(resampled) == 5
+
+
 def test_segment_bad_mode_rejected(tmp_path, atlas_env):
     with pytest.raises(UsageError):
         run_segment(atlas_env["subject"], atlas_env["atlas"], str(tmp_path / "o"), mode="bogus")
@@ -457,6 +475,26 @@ def test_cli_stats_reports_threshold(tmp_path):
     code = main(["stats", "--csv-a", str(tmp_path / "a.csv"), "--csv-b", str(tmp_path / "b.csv"), "--out", out_csv])
     assert code == 0
     assert os.path.isfile(out_csv)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_cli_stats_rejects_fewer_than_one_comparison(tmp_path, capsys, monkeypatch, m):
+    """--m is the Bonferroni divisor: below one it is a usage error, reported before any CSV is read."""
+    for name in ("a.csv", "b.csv"):
+        with open(tmp_path / name, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["subject_id", "label_code", "label_name", "dice"])
+            for s in range(3):
+                w.writerow([f"s{s}", 1, "X", f"{0.9 + 0.01 * s:.4f}"])
+    read = []
+    real_read = pipeline._read_metrics_csv
+    monkeypatch.setattr(pipeline, "_read_metrics_csv", lambda *a: read.append(a) or real_read(*a))
+    out_csv = tmp_path / "stats.csv"
+    args = ["stats", "--csv-a", str(tmp_path / "a.csv"), "--csv-b", str(tmp_path / "b.csv"), "--out", str(out_csv)]
+    assert main(args + [f"--m={m}"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "UsageError"
+    assert read == [] and not out_csv.exists()
 
 
 def _drop_first_abbrev(path):

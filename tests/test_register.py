@@ -753,3 +753,25 @@ def test_demons_never_scores_the_same_warped_image_twice(base, monkeypatch):
     assert len(per_level) == 2
     for _, images in per_level:
         assert len(set(images)) == len(images)
+
+
+def test_demons_builds_each_level_grid_once(base, monkeypatch):
+    """Over the (4, 2, 1) pyramid, no lattice builds its voxel-center grid twice,
+    however many iterations its level runs."""
+    fixed, moving = _demons_pair(base, 2)
+    built, scored = [], []
+    voxel_centers, force = Geometry._voxel_centers, register._lncc_force
+
+    def build_spy(geometry):
+        built.append(geometry)
+        return voxel_centers(geometry)
+
+    def force_spy(*args):
+        scored.append(args[0])
+        return force(*args)
+
+    monkeypatch.setattr(Geometry, "_voxel_centers", build_spy)
+    monkeypatch.setattr(register, "_lncc_force", force_spy)
+    register_deformable(fixed, moving, AffineTransform.identity(), RegConfig())
+    assert len({id(terms) for terms in scored}) == 3 and len(scored) >= 3 * 5
+    assert len({id(g) for g in built}) == len(built)

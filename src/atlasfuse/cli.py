@@ -63,9 +63,8 @@ def cmd_segment(args):
         jlf_params=_params(JlfParams, cfg, "jlf_params"),
         true_warp_path=args.true_warp,
         n_workers=args.workers,
-        tool_version=__version__,
     )
-    print(json.dumps({"status": "ok", "outputs": {k: v for k, v in out.items() if k != "written"}}))
+    print(json.dumps({"status": "ok", "outputs": out}))
     return 0
 
 

@@ -55,11 +55,10 @@ _WINDOW_CAP = 1 << 20  # float64 elements in one z-scored centre window (8 MiB)
 
 @dataclass
 class JlfParams:
-    patch_radius: int = 2  # voxels
-    search_radius: int = 3  # voxels
-    beta: float = 2.0
-    epsilon_scale: float = 0.1  # epsilon = scale * mean(diag(M))
-    absolute_epsilon: float | None = None  # overrides epsilon_scale when set
+    """Patch and search cube radii in voxels; the weights take jlf_weights' defaults."""
+
+    patch_radius: int = 2
+    search_radius: int = 3
 
     def __post_init__(self):
         for name in ("patch_radius", "search_radius"):
@@ -67,13 +66,6 @@ class JlfParams:
             if not _is_int(r) or r < 0:
                 raise ValueError(f"{name} must be an integer >= 0, got {r!r}")
             setattr(self, name, int(r))
-        for name in ("beta", "epsilon_scale"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-        eps = self.absolute_epsilon
-        if eps is not None and not (np.isfinite(eps) and eps >= 0):
-            raise ValueError(f"absolute_epsilon must be None or finite and >= 0, got {eps!r}")
 
 
 def majority_vote(warped_labels) -> LabelVolume:
@@ -164,7 +156,7 @@ def _weighted_vote(w, votes):
     return codes[np.argmax(acc, axis=1)]
 
 
-def _fuse_chunk(vc, cand, centres, tflat, apad, lpad, patch_off, params):
+def _fuse_chunk(vc, cand, centres, tflat, apad, lpad, patch_off):
     """Fused codes of the disagreeing voxels ``vc`` (flat indices into the padded volumes).
 
     ``cand`` holds the (offset x voxel) candidate centres and ``centres`` their
@@ -192,7 +184,7 @@ def _fuse_chunk(vc, cand, centres, tflat, apad, lpad, patch_off, params):
             best_row[better] = r[better]
         diffs[:, ai] = z[best_row] - tpatch
         votes[:, ai] = lpad[ai][centres[best_row]]
-    w = jlf_weights(diffs, params.beta, params.epsilon_scale, params.absolute_epsilon)
+    w = jlf_weights(diffs)
     return _weighted_vote(w, votes)
 
 
@@ -239,7 +231,7 @@ def joint_label_fusion(
                 break
             m //= 2
         vc = vox[c0 : c0 + m]
-        fused[c0 : c0 + m] = _fuse_chunk(vc, cand, centres, tpad.ravel(), apad, lpad, patch_off, params)
+        fused[c0 : c0 + m] = _fuse_chunk(vc, cand, centres, tpad.ravel(), apad, lpad, patch_off)
         c0 += m
 
     out[disagree] = fused  # vox lists the disagreeing voxels in C order

@@ -196,11 +196,6 @@ class LabelScheme:
         """Scheme from the dicts to_json writes, one per code."""
         return cls([LabelEntry(int(r["code"]), r["abbrev"], r["name"], r["hemisphere"]) for r in rows])
 
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as f:
-            return cls._from_rows(json.load(f))
-
 
 def default_scheme() -> LabelScheme:
     """The shipped 12-structure bilateral thalamic scheme (right 1..12, left +100)."""
@@ -229,16 +224,12 @@ class _Image:
     def affine(self):
         return self.geometry.affine
 
-    def _kept(self) -> dict:
-        """Constructor arguments besides the lattice that a rebuild carries over."""
-        return {}
-
     def with_data(self, data, geometry: Geometry | None = None):
-        """The same type (and scheme) holding data, on this lattice or on geometry."""
+        """The same type holding data, on this lattice or on geometry."""
         geometry = self.geometry if geometry is None else geometry
         if np.shape(data) != geometry.dims:
             raise GeometryMismatch(f"data shape {np.shape(data)} is not lattice {geometry.dims}")
-        return type(self)(data, geometry.affine, **self._kept())
+        return type(self)(data, geometry.affine)
 
 
 class VolumeGrid(_Image):
@@ -253,24 +244,15 @@ class VolumeGrid(_Image):
 
 
 class LabelVolume(_Image):
-    """3D integer labelmap sharing VolumeGrid geometry; 0 is background."""
+    """3D integer codes on a lattice; 0 is background. imgio.read_volume checks them against a scheme."""
 
-    def __init__(self, data, affine, scheme: LabelScheme | None = None):
+    def __init__(self, data, affine):
         data = np.asarray(data)
         if not np.issubdtype(data.dtype, np.integer):
             raise GeometryMismatch("labelmap data must be integer")
         super().__init__(data.astype(np.int32), affine)
         if np.any(self.data < 0):
             raise GeometryMismatch("negative label codes")
-        self.scheme = scheme
-        if scheme is not None:
-            present = set(np.unique(self.data)) - {0}
-            unknown = present - set(scheme.codes())
-            if unknown:
-                raise GeometryMismatch(f"codes not in scheme: {sorted(unknown)}")
-
-    def _kept(self) -> dict:
-        return {"scheme": self.scheme}
 
     def sample(self, world_pts, interp="nearest"):
         if interp != "nearest":

@@ -188,14 +188,22 @@ def _read_raw(path, expect_vector=False):
 
 
 def read_volume(path, as_labels=False, scheme=None):
-    """Read a 3D NIfTI-1 file into a VolumeGrid (or LabelVolume with as_labels)."""
+    """Read a 3D NIfTI-1 file into a VolumeGrid (or LabelVolume with as_labels).
+
+    With a scheme, a nonzero code the scheme lacks is a GeometryMismatch.
+    """
     hdr, data, affine, code = _read_raw(path)
     if as_labels:
         if code not in _INT_CODES:
             raise UnsupportedDatatype(
                 f"labelmap requires an integer datatype, file has code {code}"
             )
-        return LabelVolume(np.ascontiguousarray(data).astype(np.int32), affine, scheme)
+        labels = LabelVolume(np.ascontiguousarray(data).astype(np.int32), affine)
+        if scheme is not None:
+            unknown = set(np.unique(labels.data).tolist()) - {0, *scheme.codes()}
+            if unknown:
+                raise GeometryMismatch(f"codes not in scheme: {sorted(unknown)}")
+        return labels
     out = np.ascontiguousarray(data).astype(np.float64)
     slope, inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
     if slope != 0.0 and not (slope == 1.0 and inter == 0.0):

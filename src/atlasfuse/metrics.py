@@ -16,12 +16,7 @@ import numpy as np
 from scipy.special import stdtr
 
 from .atomic import atomic_open
-from .errors import (
-    EmptyStructure,
-    GeometryMismatch,
-    InsufficientSubjects,
-    LengthMismatch,
-)
+from .errors import EmptyStructure, InsufficientSubjects, LengthMismatch
 from .grid import LabelScheme, LabelVolume, require_common_grid
 
 WHOLE_THALAMUS_CODE = -1
@@ -152,30 +147,25 @@ class SegmentationReport:
 
 
 def _aggregate_bilateral(labels: LabelVolume, scheme: LabelScheme) -> LabelVolume:
+    """The labelmap with each left code replaced by its right partner."""
     data = labels.data.copy()
     for right, left in scheme.bilateral_pairs():
         data[data == left] = right
-    merged = LabelScheme(
-        [e for c, e in scheme.entries.items() if e.hemisphere != "left"]
-    )
-    return LabelVolume(data, labels.affine, merged)
+    return labels.with_data(data)
 
 
 def build_report(
     seg_a: LabelVolume,
     seg_b: LabelVolume,
-    scheme: LabelScheme | None = None,
+    scheme: LabelScheme,
     aggregate_hemispheres: bool = False,
 ) -> SegmentationReport:
-    """Per-structure metrics plus a whole-thalamus row (union of all codes)."""
+    """Per-structure metrics of scheme's codes plus a whole-thalamus row (union of all codes)."""
     require_common_grid(seg_a, seg_b)
-    scheme = scheme or seg_a.scheme or seg_b.scheme
-    if scheme is None:
-        raise GeometryMismatch("no label scheme available for the report")
     if aggregate_hemispheres:
         seg_a = _aggregate_bilateral(seg_a, scheme)
         seg_b = _aggregate_bilateral(seg_b, scheme)
-        scheme = seg_a.scheme
+        scheme = LabelScheme([e for e in scheme.entries.values() if e.hemisphere != "left"])
     report = SegmentationReport()
     report.notes["aggregated_hemispheres"] = aggregate_hemispheres
     report.notes["label_interpolation"] = "nearest"
@@ -247,7 +237,7 @@ def bonferroni_threshold(m: int = DEFAULT_COMPARISONS) -> float:
     return _ALPHA / m
 
 
-def write_stats_csv(results, path, m=DEFAULT_COMPARISONS):
+def write_stats_csv(results, path):
     with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["label_code", "label_name", "t", "dof", "p", "sig_raw", "sig_bonferroni"])

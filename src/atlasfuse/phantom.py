@@ -124,11 +124,7 @@ def generate_phantom(spec: PhantomSpec | None = None):
         t1 = t1 + rng.standard_normal(t1.shape) * spec.noise_sigma * rng_range
         t1 = np.clip(t1, 0.0, None)
 
-    scheme = default_scheme() if not spec.nuclei else None
-    return (
-        VolumeGrid(t1, geom.affine),
-        LabelVolume(labels, geom.affine, scheme),
-    )
+    return VolumeGrid(t1, geom.affine), LabelVolume(labels, geom.affine)
 
 
 def random_diffeo(spec: WarpSpec, geometry: Geometry) -> DeformationField:
@@ -212,7 +208,7 @@ def derive_atlases(
         back_warped.append(_grid.resample(pint, intensity.geometry, fwd, "trilinear").data)
     template = intensity.with_data(np.mean(back_warped, axis=0))
     box = label_bounding_box(labels, margin=_CROP_MARGIN)
-    return AtlasLibrary(template=template, crop_box=box, scheme=labels.scheme, priors=priors)
+    return AtlasLibrary(template=template, crop_box=box, scheme=default_scheme(), priors=priors)
 
 
 def make_subject(

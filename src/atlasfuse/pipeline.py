@@ -18,9 +18,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import imgio
+from . import __version__, imgio
 from .atomic import atomic_open
-from .errors import GeometryMismatch, InsufficientSubjects, RowMismatch, UsageError
+from .errors import DataError, GeometryMismatch, InsufficientSubjects, MissingFile, RowMismatch, UsageError
 from .fusion import JlfParams, joint_label_fusion, majority_vote
 from .grid import CropBox, crop, default_scheme, resample, uncrop
 from .library import AtlasLibrary, template_path
@@ -85,9 +85,8 @@ def run_segment(
     jlf_params: JlfParams | None = None,
     true_warp_path=None,
     n_workers: int = 1,
-    tool_version: str = "unknown",
 ):
-    """Run the full multi-atlas segmentation; returns paths of written files.
+    """Run the full multi-atlas segmentation; returns the paths of its three outputs.
 
     The atlas library is only read. A prior without a cached warp is
     registered to the template in memory, and its id is listed under
@@ -132,6 +131,9 @@ def run_segment(
             fwd = imgio.read_field(true_warp_path)
         else:
             fwd = register_deformable(t_crop, in_crop, rigid.inverse(), config)
+        # held until fusion: the inverse's resample and each prior's compose and
+        # warps share one voxel-centre grid of the input crop (Geometry.grid_world)
+        in_grid = in_crop.geometry.grid_world()
         inv = resample_field(invert_field(fwd), in_crop.geometry)
 
         # (4) two-step prior warping in library order; a registration the pool
@@ -149,6 +151,7 @@ def run_segment(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+    del in_grid
 
     # (5) fuse
     if fusion == "mv":
@@ -159,10 +162,8 @@ def run_segment(
     # (6) outputs in the uncropped input frame
     seg_full = uncrop(seg_crop, in_box, input_vol.geometry)
     os.makedirs(out_dir, exist_ok=True)
-    written = []
     seg_path = os.path.join(out_dir, "segmentation.nii.gz")
     imgio.write_volume(seg_full, seg_path)
-    written.append(seg_path)
 
     vol_path = os.path.join(out_dir, "volumes.csv")
     with atomic_open(vol_path, "w", newline="") as f:
@@ -172,7 +173,6 @@ def run_segment(
         for code in lib.scheme.codes():
             e = lib.scheme[code]
             w.writerow([code, e.abbrev, f"{nucleus_volume(seg_full, code):.6f}"])
-    written.append(vol_path)
 
     manifest = {
         "mode": mode,
@@ -183,7 +183,7 @@ def run_segment(
             "input": _sha256(input_path),
             "template": _sha256(template_path(atlas_dir)),
         },
-        "tool_version": tool_version,
+        "tool_version": __version__,
         "notes": {
             "true_warp": bool(true_warp_path),
             "crop_box_input": in_box.to_dict(),
@@ -194,8 +194,7 @@ def run_segment(
     man_path = os.path.join(out_dir, "manifest.json")
     with atomic_open(man_path) as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
-    written.append(man_path)
-    return {"segmentation": seg_path, "volumes": vol_path, "manifest": man_path, "written": written}
+    return {"segmentation": seg_path, "volumes": vol_path, "manifest": man_path}
 
 
 def run_eval(
@@ -231,14 +230,26 @@ def run_eval(
 
 
 def _read_metrics_csv(path, metric):
-    """(subject, code) -> metric value or None, and code -> label name."""
+    """(subject, code) -> metric value or None, and code -> label name.
+
+    A missing file is MissingFile; a row without an integer code or a numeric
+    value, or a file without the metric's column, is DataError.
+    """
     rows, names = {}, {}
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            code = int(row["label_code"])
-            val = row[metric]
-            rows[(row["subject_id"], code)] = float(val) if val != "" else None
-            names[code] = row["label_name"]
+    try:
+        with open(path, newline="") as f:
+            reader = csv.DictReader(f)
+            if metric not in (reader.fieldnames or ()):
+                raise DataError(f"{path} has no {metric!r} column")
+            for row in reader:
+                code = int(row["label_code"])
+                val = row[metric]
+                rows[(row["subject_id"], code)] = float(val) if val != "" else None
+                names[code] = row["label_name"]
+    except FileNotFoundError as e:
+        raise MissingFile(path) from e
+    except (ValueError, KeyError, TypeError) as e:
+        raise DataError(f"malformed {path}: {e!r}") from e
     return rows, names
 
 
@@ -260,5 +271,5 @@ def run_stats(csv_a_path, csv_b_path, out_path, m=13, metric="dice"):
             raise InsufficientSubjects(f"label {code}: fewer than 2 paired subjects")
         r = paired_t_test([p[0] for p in pairs], [p[1] for p in pairs], m=m, code=code, name=names[code])
         results.append(r)
-    write_stats_csv(results, out_path, m=m)
+    write_stats_csv(results, out_path)
     return {"csv": out_path, "results": results, "bonferroni_threshold": bonferroni_threshold(m)}

@@ -159,10 +159,6 @@ def test_jlf_corrupted_atlas_among_identical_ones():
 def test_jlf_params_validation():
     with pytest.raises(ValueError):
         JlfParams(patch_radius=-1)
-    with pytest.raises(ValueError):
-        JlfParams(beta=0.0)
-    with pytest.raises(ValueError):
-        JlfParams(epsilon_scale=0.0)
 
 
 @pytest.mark.parametrize(
@@ -171,16 +167,8 @@ def test_jlf_params_validation():
         {"patch_radius": 1.5},
         {"search_radius": 2.0},
         {"patch_radius": True},
-        {"beta": float("nan")},
-        {"beta": float("inf")},
-        {"epsilon_scale": float("nan")},
-        {"absolute_epsilon": float("nan")},
-        {"absolute_epsilon": -1e-3},
     ],
-    ids=[
-        "fractional-patch", "float-search", "bool-patch", "nan-beta", "inf-beta",
-        "nan-epsilon-scale", "nan-absolute-epsilon", "negative-absolute-epsilon",
-    ],
+    ids=["fractional-patch", "float-search", "bool-patch"],
 )
 def test_jlf_params_rejects_what_it_cannot_run(kwargs):
     with pytest.raises(ValueError):
@@ -188,7 +176,7 @@ def test_jlf_params_rejects_what_it_cannot_run(kwargs):
 
 
 def test_jlf_params_takes_integer_radii_and_a_zero_absolute_epsilon():
-    params = JlfParams(patch_radius=np.int64(0), search_radius=np.int32(1), absolute_epsilon=0.0)
+    params = JlfParams(patch_radius=np.int64(0), search_radius=np.int32(1))
     assert (params.patch_radius, params.search_radius) == (0, 1)
     assert type(params.patch_radius) is int and type(params.search_radius) is int  # the manifest is JSON
 
@@ -258,7 +246,7 @@ def _reference_jlf(target, atlas_intensities, atlas_labels, params):
             diffs[ai] = d[best]
             bc = centers[best]
             votes_code[ai] = lpad[ai][bc[0], bc[1], bc[2]]
-        w = jlf_weights(diffs, params.beta, params.epsilon_scale, params.absolute_epsilon)
+        w = jlf_weights(diffs)
         codes = np.unique(votes_code)
         acc = np.array([w[votes_code == c].sum() for c in codes])
         out[i, j, k] = codes[int(np.argmax(acc))]

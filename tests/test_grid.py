@@ -243,14 +243,13 @@ def test_uncrop_extent_mismatch():
 
 
 def _image(kind):
-    """A 10^3 intensity image or a labelmap with a scheme, on an anisotropic lattice."""
+    """A 10^3 intensity image or labelmap on an anisotropic lattice."""
     rng = np.random.default_rng(9)
     aff = np.diag([0.8, 1.2, 1.0, 1.0])
     aff[:3, 3] = (3.0, -1.0, 2.5)
     if kind == "intensity":
         return VolumeGrid(rng.standard_normal((10, 10, 10)), aff)
-    scheme = LabelScheme([LabelEntry(1, "A", "a", "right"), LabelEntry(2, "B", "b", "left")])
-    return LabelVolume(rng.integers(0, 3, size=(10, 10, 10), dtype=np.int32), aff, scheme=scheme)
+    return LabelVolume(rng.integers(0, 3, size=(10, 10, 10), dtype=np.int32), aff)
 
 
 @pytest.mark.parametrize("kind", ["intensity", "labels"])
@@ -268,7 +267,6 @@ def test_crop_uncrop_resample_keep_type_dtype_and_scheme(kind):
     for out in (sub, full, moved):
         assert type(out) is type(img)
         assert out.data.dtype == img.data.dtype
-        assert getattr(out, "scheme", None) is getattr(img, "scheme", None)
 
 
 @pytest.mark.parametrize("kind", ["intensity", "labels"])
@@ -283,7 +281,6 @@ def test_with_data_checks_the_lattice(kind):
     out = img.with_data(small, other)
     assert type(out) is type(img)
     assert out.geometry.close_to(other)
-    assert getattr(out, "scheme", None) is getattr(img, "scheme", None)
 
 
 def test_label_bounding_box_examples():
@@ -320,9 +317,6 @@ def test_label_volume_validation():
         LabelVolume(np.zeros((4, 4, 4)), np.eye(4))  # float data
     with pytest.raises(GeometryMismatch):
         LabelVolume(np.full((4, 4, 4), -1, dtype=np.int32), np.eye(4))
-    scheme = LabelScheme([LabelEntry(1, "A", "a", "right")])
-    with pytest.raises(GeometryMismatch):
-        LabelVolume(np.full((2, 2, 2), 9, dtype=np.int32), np.eye(4), scheme=scheme)
 
 
 def test_label_scheme_rules():
@@ -340,10 +334,3 @@ def test_default_scheme_structure():
     assert sorted(pairs) == [(c, c + 100) for c in range(1, 13)]
     for right, left in pairs:
         assert scheme[right].abbrev == scheme[left].abbrev
-
-
-def test_scheme_json_roundtrip(tmp_path):
-    scheme = default_scheme()
-    path = str(tmp_path / "scheme.json")
-    scheme.to_json(path)
-    assert LabelScheme.from_json(path) == scheme

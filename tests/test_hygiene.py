@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in it, every
 import sits at module level, every function, class and method the package
-defines is referenced, and every defaulted parameter is passed by some call."""
+defines is referenced, every defaulted parameter is passed by some call, and
+every parameter is read by its function."""
 
 import ast
 import pathlib
@@ -196,4 +197,54 @@ def test_unset_parameter_scan_catches_a_default_no_call_passes():
         "m.A.m(b) (line 4)",
         "m.A.m(j) (line 4)",
         "m.f(q) (line 6)",
+    ]
+
+
+def unread_parameters(defining: dict) -> list:
+    """Parameters of the functions and methods in the `defining` sources
+    (name -> source) that their bodies never read, as
+    'module.function(parameter) (line n)'. A method's first parameter (self
+    or cls) is left out; a read in a nested function or lambda counts.
+    """
+    unread = []
+    for module, source in defining.items():
+        tree = ast.parse(source)
+        methods = {fn for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+            if fn in methods:
+                params = params[1:]
+            read = {
+                n.id for stmt in fn.body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [f"{module}.{fn.name}({a.arg}) (line {fn.lineno})" for a in params if a.arg not in read]
+    return sorted(unread)
+
+
+def test_every_parameter_is_read():
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_parameters(package) == []
+
+
+def test_unread_parameter_scan_catches_a_parameter_no_body_reads():
+    source = (
+        "class A:\n"
+        "    def m(self, a, b):\n"
+        "        return a\n"
+        "def f(p, q=1, *rest, k, **extra):\n"
+        "    q = 2\n"
+        "    return (lambda: p + k)()\n"
+        "def g(s):\n"
+        "    def inner():\n"
+        "        return s\n"
+        "    return inner\n"
+    )
+    assert unread_parameters({"m": source}) == [
+        "m.f(extra) (line 4)",
+        "m.f(q) (line 4)",
+        "m.f(rest) (line 4)",
+        "m.m(b) (line 2)",
     ]

@@ -15,7 +15,7 @@ from atlasfuse.errors import (
     MissingFile,
     UnsupportedDatatype,
 )
-from atlasfuse.grid import LabelVolume, VolumeGrid
+from atlasfuse.grid import LabelEntry, LabelScheme, LabelVolume, VolumeGrid
 from atlasfuse.metrics import nucleus_volume
 
 
@@ -53,6 +53,22 @@ def test_label_roundtrip_bit_exact(tmp_path):
     imgio.write_volume(lab, path)
     back = imgio.read_volume(path, as_labels=True)
     assert np.array_equal(back.data, data)
+
+
+def test_label_codes_are_checked_against_a_scheme_on_read(tmp_path):
+    """Read with a scheme, a labelmap holding a code the scheme lacks is a data
+    error whose message lists the codes as plain integers."""
+    data = np.zeros((4, 4, 4), dtype=np.int32)
+    data[0, 0, 0], data[1, 1, 1] = 1, 999
+    path = str(tmp_path / "l.nii.gz")
+    imgio.write_volume(LabelVolume(data, np.eye(4)), path)
+    scheme = LabelScheme([LabelEntry(1, "A", "a", "right")])
+    with pytest.raises(GeometryMismatch, match=r"codes not in scheme: \[999\]$"):
+        imgio.read_volume(path, as_labels=True, scheme=scheme)
+    assert np.array_equal(imgio.read_volume(path, as_labels=True).data, data)
+    data[1, 1, 1] = 0
+    imgio.write_volume(LabelVolume(data, np.eye(4)), path)
+    assert np.array_equal(imgio.read_volume(path, as_labels=True, scheme=scheme).data, data)
 
 
 def test_gzip_magic_bytes(tmp_path):

@@ -197,8 +197,8 @@ def test_build_report_self_comparison():
     data[2:6, 2:6, 2:6] = 1
     data[10:14, 2:6, 2:6] = 101
     data[2:5, 10:13, 2:5] = 7
-    lab = LabelVolume(data, np.eye(4), scheme=scheme)
-    report = build_report(lab, lab)
+    lab = LabelVolume(data, np.eye(4))
+    report = build_report(lab, lab, scheme)
     assert report.rows[0].code == WHOLE_THALAMUS_CODE
     assert report.rows[0].name == "Thalamus"
     for row in report.rows:
@@ -212,9 +212,9 @@ def test_build_report_empty_other_side():
     scheme = default_scheme()
     data = np.zeros((16, 16, 16), dtype=np.int32)
     data[4:8, 4:8, 4:8] = 1
-    a = LabelVolume(data, np.eye(4), scheme=scheme)
-    b = LabelVolume(np.zeros((16, 16, 16), dtype=np.int32), np.eye(4), scheme=scheme)
-    report = build_report(a, b)
+    a = LabelVolume(data, np.eye(4))
+    b = LabelVolume(np.zeros((16, 16, 16), dtype=np.int32), np.eye(4))
+    report = build_report(a, b, scheme)
     row = next(r for r in report.rows if r.code == 1)
     assert row.dice == 0.0 and row.vsi == 0.0 and row.centroid_distance_mm is None
 
@@ -224,8 +224,8 @@ def test_build_report_aggregates_hemispheres():
     data = np.zeros((20, 20, 20), dtype=np.int32)
     data[2:5, 2:5, 2:5] = 3
     data[10:13, 2:5, 2:5] = 103
-    lab = LabelVolume(data, np.eye(4), scheme=scheme)
-    report = build_report(lab, lab, aggregate_hemispheres=True)
+    lab = LabelVolume(data, np.eye(4))
+    report = build_report(lab, lab, scheme, aggregate_hemispheres=True)
     row = next(r for r in report.rows if r.code == 3)
     assert row.volume_a_mm3 == pytest.approx(54.0)  # both hemispheres pooled
     assert not any(r.code > 100 for r in report.rows)
@@ -235,9 +235,9 @@ def test_report_csv_columns(tmp_path):
     scheme = default_scheme()
     data = np.zeros((8, 8, 8), dtype=np.int32)
     data[2:4, 2:4, 2:4] = 1
-    lab = LabelVolume(data, np.eye(4), scheme=scheme)
+    lab = LabelVolume(data, np.eye(4))
     path = str(tmp_path / "metrics.csv")
-    build_report(lab, lab).to_csv(path, subject_id="s01")
+    build_report(lab, lab, scheme).to_csv(path, subject_id="s01")
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
     assert rows[0] == [

@@ -14,7 +14,7 @@ from atlasfuse import cli, imgio, pipeline
 from atlasfuse.cli import main
 from atlasfuse.errors import FoldingDetected, UsageError
 from atlasfuse.fusion import majority_vote
-from atlasfuse.grid import CropBox, crop, default_scheme, label_bounding_box
+from atlasfuse.grid import CropBox, Geometry, LabelVolume, crop, default_scheme, label_bounding_box
 from atlasfuse.metrics import dice
 from atlasfuse.phantom import WarpSpec, derive_atlases, make_subject, synthesized_base
 from atlasfuse.pipeline import run_eval, run_segment, run_stats
@@ -260,6 +260,20 @@ def test_majority_voting_warps_no_prior_intensities(tmp_path, atlas_env, monkeyp
     assert len(resampled) == 5
 
 
+@pytest.mark.parametrize("fusion", ["mv", "jlf"])
+def test_segment_builds_the_input_crop_grid_once(tmp_path, atlas_env, monkeypatch, fusion):
+    """The inverse's resample and each prior's compose and warps share one
+    voxel-centre grid of the input crop."""
+    built = []
+    real_voxel_centers = Geometry._voxel_centers
+    monkeypatch.setattr(Geometry, "_voxel_centers", lambda g: built.append(g) or real_voxel_centers(g))
+    kwargs = dict(fusion=fusion, true_warp_path=atlas_env["subject_warp"])
+    out = run_segment(atlas_env["subject"], atlas_env["atlas"], str(tmp_path / "o"), **kwargs)
+    box = CropBox.from_dict(json.load(open(out["manifest"]))["notes"]["crop_box_input"])
+    in_crop = crop(imgio.read_volume(atlas_env["subject"]), box).geometry
+    assert sum(g.close_to(in_crop) for g in built) == 1
+
+
 def test_segment_bad_mode_rejected(tmp_path, atlas_env):
     with pytest.raises(UsageError):
         run_segment(atlas_env["subject"], atlas_env["atlas"], str(tmp_path / "o"), mode="bogus")
@@ -400,6 +414,19 @@ def test_cli_eval_geometry_mismatch_exit_2_and_cleanup(tmp_path, base):
     assert not (out_dir / "metrics.csv").exists()
 
 
+def test_cli_eval_label_not_in_scheme_exits_2(tmp_path, capsys):
+    """eval reads both labelmaps in the default scheme: an unknown code is a data error."""
+    data = np.zeros((8, 8, 8), dtype=np.int32)
+    data[2:4, 2:4, 2:4] = 999
+    pa = str(tmp_path / "a.nii.gz")
+    imgio.write_volume(LabelVolume(data, np.eye(4)), pa)
+    out_dir = tmp_path / "eval"
+    assert main(["eval", "--seg-a", pa, "--seg-b", pa, "--out-dir", str(out_dir)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["message"]) == ("GeometryMismatch", "codes not in scheme: [999]")
+    assert not out_dir.exists()
+
+
 def test_cli_eval_writes_what_run_eval_writes(tmp_path, capsys, segment_run, atlas_env):
     seg, truth = segment_run["segmentation"], atlas_env["subject_truth_path"]
     want = run_eval(seg, truth, str(tmp_path / "api"), subject_id="s0")
@@ -477,6 +504,33 @@ def test_cli_stats_reports_threshold(tmp_path):
     assert os.path.isfile(out_csv)
 
 
+_STATS_HEADER = "subject_id,label_code,label_name,dice\n"
+
+# case: (text of the A-side metrics CSV, None for no file; the error stats must report)
+BAD_METRICS_CSV = {
+    "missing-file": (None, "MissingFile"),
+    "no-metric-column": ("subject_id,label_code,label_name,vsi\ns0,1,X,0.9\n", "DataError"),
+    "header-only-without-metric": ("subject_id,label_code,label_name,vsi\n", "DataError"),
+    "non-integer-code": (_STATS_HEADER + "s0,one,X,0.9\n", "DataError"),
+    "non-numeric-value": (_STATS_HEADER + "s0,1,X,high\n", "DataError"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_METRICS_CSV)
+def test_cli_stats_bad_metrics_csv_exits_2(tmp_path, capsys, case):
+    """A metrics CSV that is missing or malformed is a data error, not a traceback, and writes nothing."""
+    text, error = BAD_METRICS_CSV[case]
+    if text is not None:
+        (tmp_path / "a.csv").write_text(text)
+    (tmp_path / "b.csv").write_text(_STATS_HEADER + "s0,1,X,0.9\ns1,1,X,0.8\n")
+    out_csv = tmp_path / "stats.csv"
+    args = ["stats", "--csv-a", str(tmp_path / "a.csv"), "--csv-b", str(tmp_path / "b.csv"), "--out", str(out_csv)]
+    assert main(args) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == error
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("m", [0, -1])
 def test_cli_stats_rejects_fewer_than_one_comparison(tmp_path, capsys, monkeypatch, m):
     """--m is the Bonferroni divisor: below one it is a usage error, reported before any CSV is read."""
@@ -503,6 +557,13 @@ def _drop_first_abbrev(path):
     path.write_text(json.dumps(rows))
 
 
+def _add_unknown_label(path):
+    labels = imgio.read_volume(str(path), as_labels=True)
+    data = labels.data.copy()
+    data[0, 0, 0] = 999
+    imgio.write_volume(labels.with_data(data), str(path))
+
+
 # case: (how the library copy is broken, the error segment must report)
 BROKEN_LIBRARY = {
     "missing-cropbox": (lambda lib: (lib / "cropbox.json").unlink(), "MissingFile"),
@@ -510,12 +571,16 @@ BROKEN_LIBRARY = {
     "cropbox-not-json": (lambda lib: (lib / "cropbox.json").write_text("{lo: [0"), "DataError"),
     "cropbox-without-lo": (lambda lib: (lib / "cropbox.json").write_text("{}"), "DataError"),
     "scheme-row-without-abbrev": (lambda lib: _drop_first_abbrev(lib / "scheme.json"), "DataError"),
+    "prior-label-not-in-scheme": (
+        lambda lib: _add_unknown_label(lib / "priors" / "prior01" / "labels.nii.gz"), "GeometryMismatch"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", BROKEN_LIBRARY)
 def test_segment_broken_library_exits_2(tmp_path, capsys, warp_free, case):
-    """A library whose cropbox.json or scheme.json is missing or malformed is a data error, not a traceback."""
+    """A library whose cropbox.json or scheme.json is missing or malformed, or
+    whose prior labels hold a code its scheme lacks, is a data error, not a traceback."""
     breaker, error = BROKEN_LIBRARY[case]
     lib = tmp_path / "atlas"
     shutil.copytree(warp_free["atlas"], lib)
@@ -530,7 +595,7 @@ def test_segment_broken_library_exits_2(tmp_path, capsys, warp_free, case):
     "text",
     [
         json.dumps({"reg_config": {"bogus": 1}}),
-        json.dumps({"jlf_params": {"beta": 0}}),
+        json.dumps({"jlf_params": {"patch_radius": -1}}),
         "{not json",
         "[1]",
         None,

@@ -28,15 +28,16 @@ def template_path(atlas_dir):
     return os.path.join(atlas_dir, "template.nii.gz")
 
 
-def _read_json(path, build):
-    """build(path's parsed JSON); a missing file is MissingFile, a malformed one DataError."""
+def read_data_file(path, parse):
+    """parse(path opened as text); a missing file is MissingFile, and one that cannot
+    be read (another OSError) or parsed (ValueError, KeyError, TypeError) is DataError."""
     try:
-        with open(path) as f:
-            return build(json.load(f))
+        with open(path, newline="") as f:
+            return parse(f)
     except FileNotFoundError as e:
         raise MissingFile(path) from e
-    except (ValueError, KeyError, TypeError) as e:
-        raise DataError(f"malformed {path}: {e!r}") from e
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise DataError(f"cannot read {path}: {e!r}") from e
 
 
 @dataclass
@@ -72,12 +73,9 @@ class AtlasLibrary:
 
     @classmethod
     def load(cls, atlas_dir) -> "AtlasLibrary":
-        tpath = template_path(atlas_dir)
-        if not os.path.isfile(tpath):
-            raise MissingFile(tpath)
-        template = imgio.read_volume(tpath)
-        box = _read_json(os.path.join(atlas_dir, "cropbox.json"), CropBox.from_dict)
-        scheme = _read_json(os.path.join(atlas_dir, "scheme.json"), LabelScheme._from_rows)
+        template = imgio.read_volume(template_path(atlas_dir))
+        box = read_data_file(os.path.join(atlas_dir, "cropbox.json"), lambda f: CropBox.from_dict(json.load(f)))
+        scheme = read_data_file(os.path.join(atlas_dir, "scheme.json"), lambda f: LabelScheme._from_rows(json.load(f)))
         priors = []
         pdir = os.path.join(atlas_dir, "priors")
         if not os.path.isdir(pdir):

@@ -1,10 +1,11 @@
 """End-to-end segmentation workflow and evaluation entry points.
 
-Segmentation stages: rigid template->input alignment, crop-box transfer and
-automatic input cropping, deformable registration of the cropped pair, one
-shared inversion of the input->template warp, two-step prior label warping
-(prior->template composed with template->input), and label fusion. The fused
-labelmap is placed back into the uncropped input frame.
+Segmentation runs in two halves that meet at the template. The library half
+(``_prior_warps``) yields each prior's warp to the template and never reads
+the input. The input half (``_register_input``) aligns the template rigidly,
+transfers its crop box into the input, crops, and registers the cropped pair
+deformably. ``run_segment`` inverts that warp once, warps each prior through
+the template, fuses the labels, and uncrops the result into the input frame.
 """
 
 from __future__ import annotations
@@ -14,16 +15,17 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__, imgio
 from .atomic import atomic_open
-from .errors import DataError, GeometryMismatch, InsufficientSubjects, MissingFile, RowMismatch, UsageError
+from .errors import DataError, GeometryMismatch, InsufficientSubjects, RowMismatch, UsageError
 from .fusion import JlfParams, joint_label_fusion, majority_vote
 from .grid import CropBox, crop, default_scheme, resample, uncrop
-from .library import AtlasLibrary, template_path
+from .library import AtlasLibrary, read_data_file, template_path
 from .metrics import (
     WHOLE_THALAMUS_CODE,
     bonferroni_threshold,
@@ -56,16 +58,6 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _transfer_crop_box(box: CropBox, template, rigid: AffineTransform, input_vol) -> CropBox:
-    """Map the template crop box into input voxel indices via the rigid result."""
-    w_template = template.geometry.index_to_world(box.corners())
-    w_input = rigid.inverse().map_points(w_template)
-    idx = input_vol.geometry.world_to_index(w_input)
-    lo = np.floor(idx.min(axis=0)).astype(int)
-    hi = np.ceil(idx.max(axis=0)).astype(int)
-    return CropBox(lo, hi).clipped(input_vol.dims)
-
-
 def _prior_warp(prior, t_crop, lib, config):
     """Prior->template field: the cached one, or the prior registered onto t_crop in memory."""
     if prior.warp_to_template is not None:
@@ -73,6 +65,48 @@ def _prior_warp(prior, t_crop, lib, config):
     p_crop = crop(prior.intensity, lib.crop_box)
     d = register_deformable(t_crop, p_crop, AffineTransform.identity(), config)
     return resample_field(d, lib.template.geometry)
+
+
+@contextmanager
+def _prior_warps(lib, t_crop, config, n_workers):
+    """Yield an iterator over each prior's field to the template, in library order.
+
+    ``n_workers`` counts threads, the calling one included: above one, uncached
+    priors start registering on ``n_workers - 1`` pool threads on entry, and one
+    the pool has not started when it is reached runs on the calling thread. On
+    exit, also on error, unstarted ones are cancelled and the pool is joined.
+    The fields do not depend on ``n_workers``.
+    """
+    pool = ThreadPoolExecutor(max_workers=n_workers - 1) if n_workers > 1 else None
+    try:
+        futures = [
+            pool.submit(_prior_warp, p, t_crop, lib, config) if pool and p.warp_to_template is None else None
+            for p in lib.priors
+        ]
+        yield (
+            _prior_warp(p, t_crop, lib, config) if fut is None or fut.cancel() else fut.result()
+            for p, fut in zip(lib.priors, futures)
+        )
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _register_input(input_vol, lib, t_crop, config, true_warp_path):
+    """Rigid template->input, the crop box transfer and the deformable stage, with a true warp in
+    place of both registrations; returns the input crop box, the cropped input and its warp."""
+    if true_warp_path:
+        rigid, fwd = AffineTransform.identity(), imgio.read_field(true_warp_path)
+    else:
+        rigid, fwd = register_rigid(input_vol, lib.template, config), None
+    w_input = rigid.inverse().map_points(lib.template.geometry.index_to_world(lib.crop_box.corners()))
+    idx = input_vol.geometry.world_to_index(w_input)
+    in_box = CropBox(np.floor(idx.min(axis=0)).astype(int), np.ceil(idx.max(axis=0)).astype(int))
+    in_box = in_box.clipped(input_vol.dims)
+    in_crop = crop(input_vol, in_box)
+    if fwd is None:
+        fwd = register_deformable(t_crop, in_crop, rigid.inverse(), config)
+    return in_box, in_crop, fwd
 
 
 def run_segment(
@@ -89,11 +123,9 @@ def run_segment(
     """Run the full multi-atlas segmentation; returns the paths of its three outputs.
 
     The atlas library is only read. A prior without a cached warp is
-    registered to the template in memory, and its id is listed under
-    ``notes.computed_prior_warps`` in the manifest. ``n_workers`` counts
-    threads, the calling one included: above one, those registrations start
-    on ``n_workers - 1`` pool threads before the input is registered. The
-    outputs do not depend on it.
+    registered to the template in memory (``_prior_warps`` says how
+    ``n_workers`` spreads that work), and its id is listed under
+    ``notes.computed_prior_warps`` in the manifest.
     """
     if mode not in DEFAULT_FUSION:
         raise UsageError(f"mode must be one of {tuple(DEFAULT_FUSION)}")
@@ -109,57 +141,25 @@ def run_segment(
     input_vol = imgio.read_volume(input_path)
     t_crop = crop(lib.template, lib.crop_box)
 
-    # (0) a prior's warp to the template does not depend on the input: uncached
-    # ones start on n_workers - 1 pool threads while this thread registers the input
-    pool = ThreadPoolExecutor(max_workers=n_workers - 1) if n_workers > 1 else None
-    try:
-        futures = [
-            pool.submit(_prior_warp, p, t_crop, lib, config) if pool and p.warp_to_template is None else None
-            for p in lib.priors
-        ]
-
-        # (1) rigid template -> input, (2) transfer crop box and crop
-        if true_warp_path:
-            rigid = AffineTransform.identity()
-        else:
-            rigid = register_rigid(input_vol, lib.template, config)
-        in_box = _transfer_crop_box(lib.crop_box, lib.template, rigid, input_vol)
-        in_crop = crop(input_vol, in_box)
-
-        # (3) deformable cropped input vs cropped template, then one shared inverse
-        if true_warp_path:
-            fwd = imgio.read_field(true_warp_path)
-        else:
-            fwd = register_deformable(t_crop, in_crop, rigid.inverse(), config)
+    with _prior_warps(lib, t_crop, config, n_workers) as to_template:
+        in_box, in_crop, fwd = _register_input(input_vol, lib, t_crop, config, true_warp_path)
         # held until fusion: the inverse's resample and each prior's compose and
         # warps share one voxel-centre grid of the input crop (Geometry.grid_world)
         in_grid = in_crop.geometry.grid_world()
         inv = resample_field(invert_field(fwd), in_crop.geometry)
-
-        # (4) two-step prior warping in library order; a registration the pool
-        # has not started yet runs here instead
         warped_labels, warped_ints = [], []
-        for prior, fut in zip(lib.priors, futures):
-            if fut is None or fut.cancel():
-                to_template = _prior_warp(prior, t_crop, lib, config)
-            else:
-                to_template = fut.result()
-            total = compose_fields(inv, to_template)
+        for prior, field in zip(lib.priors, to_template):
+            total = compose_fields(inv, field)
             warped_labels.append(warp_labels(prior.labels, total, in_crop.geometry))
             if fusion == "jlf":  # majority voting reads labels only
                 warped_ints.append(resample(prior.intensity, in_crop.geometry, total, "trilinear"))
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
     del in_grid
 
-    # (5) fuse
     if fusion == "mv":
         seg_crop = majority_vote(warped_labels)
     else:
         seg_crop = joint_label_fusion(in_crop, warped_ints, warped_labels, jparams)
 
-    # (6) outputs in the uncropped input frame
     seg_full = uncrop(seg_crop, in_box, input_vol.geometry)
     os.makedirs(out_dir, exist_ok=True)
     seg_path = os.path.join(out_dir, "segmentation.nii.gz")
@@ -232,25 +232,26 @@ def run_eval(
 def _read_metrics_csv(path, metric):
     """(subject, code) -> metric value or None, and code -> label name.
 
-    A missing file is MissingFile; a row without an integer code or a numeric
-    value, or a file without the metric's column, is DataError.
+    An empty cell is a missing value. A missing file is MissingFile; a file
+    that cannot be read or lacks the metric's column, or a row without an
+    integer code or a finite numeric value, is DataError.
     """
-    rows, names = {}, {}
-    try:
-        with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            if metric not in (reader.fieldnames or ()):
-                raise DataError(f"{path} has no {metric!r} column")
-            for row in reader:
-                code = int(row["label_code"])
-                val = row[metric]
-                rows[(row["subject_id"], code)] = float(val) if val != "" else None
-                names[code] = row["label_name"]
-    except FileNotFoundError as e:
-        raise MissingFile(path) from e
-    except (ValueError, KeyError, TypeError) as e:
-        raise DataError(f"malformed {path}: {e!r}") from e
-    return rows, names
+
+    def parse(f):
+        rows, names = {}, {}
+        reader = csv.DictReader(f)
+        if metric not in (reader.fieldnames or ()):
+            raise DataError(f"{path} has no {metric!r} column")
+        for row in reader:
+            code = int(row["label_code"])
+            val = float(row[metric]) if row[metric] != "" else None
+            if val is not None and not np.isfinite(val):
+                raise DataError(f"{path}: non-finite {metric} for subject {row['subject_id']}")
+            rows[(row["subject_id"], code)] = val
+            names[code] = row["label_name"]
+        return rows, names
+
+    return read_data_file(path, parse)
 
 
 def run_stats(csv_a_path, csv_b_path, out_path, m=13, metric="dice"):

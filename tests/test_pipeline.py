@@ -14,8 +14,8 @@ from atlasfuse import cli, imgio, pipeline
 from atlasfuse.cli import main
 from atlasfuse.errors import FoldingDetected, UsageError
 from atlasfuse.fusion import majority_vote
-from atlasfuse.grid import CropBox, Geometry, LabelVolume, crop, default_scheme, label_bounding_box
-from atlasfuse.metrics import dice
+from atlasfuse.grid import CropBox, Geometry, LabelVolume, crop, default_scheme, label_bounding_box, resample
+from atlasfuse.metrics import centroid_distance, dice, vsi
 from atlasfuse.phantom import WarpSpec, derive_atlases, make_subject, synthesized_base
 from atlasfuse.pipeline import run_eval, run_segment, run_stats
 
@@ -166,6 +166,70 @@ def test_segment_registers_uncached_prior_warps_without_writing_the_library(
     assert _output_shas(out) == warp_free_serial
 
 
+@pytest.fixture(scope="module")
+def off_template_lattice(tmp_path_factory, base):
+    """A 5-prior library with cached warps on the 32^3 box, and a subject made on
+    the template's lattice: its image, its truth labels, and the box centre (mm)."""
+    wmn, truth, _ = base
+    root = tmp_path_factory.mktemp("off_lattice")
+    box = CropBox((3, 1, 7), (34, 32, 38))  # the warp_free and bench box
+    small = crop(wmn, box), crop(truth, box)
+    derive_atlases(small, n=5, seed=7).save(str(root / "atlas"))
+    subject, subject_truth, _ = make_subject(small, seed=2024)
+    g = subject.geometry
+    centre = g.index_to_world(np.array([(np.array(g.dims) - 1) / 2.0]))[0]
+    return {"atlas": str(root / "atlas"), "subject": subject, "truth": subject_truth, "centre": centre}
+
+
+def _rotation(axis, degrees):
+    a = np.radians(degrees)
+    r = np.eye(3)
+    i, j = [(1, 2), (2, 0), (0, 1)][axis]
+    r[i, i], r[i, j], r[j, i], r[j, j] = np.cos(a), -np.sin(a), np.sin(a), np.cos(a)
+    return r
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["oblique", "oblique-mirrored"])
+def test_segment_off_the_template_lattice(tmp_path, off_template_lattice, mirrored):
+    """A subject resampled onto a lattice that is rotated (8 deg about z, 5 about x),
+    anisotropic (0.9 x 1.1 x 1.3 mm) and offset (7, -5, 4) mm from the anatomy,
+    optionally stored with a mirrored (negative-determinant) affine, meets
+    criterion 6's per-nucleus bounds, by volume in mm^3; its volumes.csv counts
+    mm^3 of its own voxels, and the transferred crop box keeps every nucleus whole."""
+    env = off_template_lattice
+    spacing = np.array([0.9, 1.1, 1.3])
+    block = _rotation(2, 8.0) @ _rotation(0, 5.0) @ np.diag(spacing)
+    if mirrored:
+        block = block @ np.diag([-1.0, 1.0, 1.0])
+    dims = np.ceil(44.0 / spacing).astype(int)  # the 32 mm box and the offset fit inside
+    affine = np.eye(4)
+    affine[:3, :3] = block
+    affine[:3, 3] = env["centre"] + (7.0, -5.0, 4.0) - block @ ((dims - 1) / 2.0)
+    lattice = Geometry(tuple(dims), affine)
+    assert (np.linalg.det(block) < 0) == mirrored
+    truth = resample(env["truth"], lattice, None, "nearest")
+    imgio.write_volume(resample(env["subject"], lattice, None, "trilinear"), str(tmp_path / "in.nii.gz"))
+
+    out = run_segment(str(tmp_path / "in.nii.gz"), env["atlas"], str(tmp_path / "out"))
+    seg = imgio.read_volume(out["segmentation"], as_labels=True)
+    assert seg.geometry.close_to(lattice)
+    box = CropBox.from_dict(json.load(open(out["manifest"]))["notes"]["crop_box_input"])
+    with open(out["volumes"], newline="") as f:
+        volumes = {int(r["label_code"]): float(r["volume_mm3"]) for r in csv.DictReader(f)}
+    voxel_mm3 = float(np.prod(spacing))
+    assert volumes[-1] == pytest.approx(float((seg.data > 0).sum()) * voxel_mm3)
+    failures = []
+    for code in (int(c) for c in np.unique(truth.data) if c != 0):
+        assert volumes[code] == pytest.approx(float((seg.data == code).sum()) * voxel_mm3)
+        n = int((truth.data == code).sum())
+        assert int((crop(truth, box).data == code).sum()) == n, f"crop box cuts code {code}"
+        d, v, cd = dice(seg, truth, code), vsi(seg, truth, code), centroid_distance(seg, truth, code)
+        mm3 = n * voxel_mm3
+        if (mm3 >= 500 and (d < 0.85 or v < 0.90)) or (50 <= mm3 < 500 and d < 0.60) or cd > 1.0:
+            failures.append((code, mm3, d, v, cd))
+    assert not failures, f"criterion 6 violations: {failures}"
+
+
 _WAIT_S = 30  # a regression fails after this long instead of hanging
 
 
@@ -241,6 +305,23 @@ def test_prior_registration_failure_on_a_pool_thread_propagates(tmp_path, warp_f
     assert main(args + ["--fusion", "mv", "--true-warp", warp_free["warp"], "--workers", "2"]) == 3
     assert not any(t.is_alive() for t in rec["started"])
     assert not (tmp_path / "b" / "segmentation.nii.gz").exists()
+
+
+def test_input_registration_failure_at_two_workers_ends_the_call(tmp_path, warp_free, monkeypatch):
+    """An error in the input's registration propagates at once: the prior
+    registration the pool has not started is cancelled, and no thread the
+    call started outlives it."""
+    rec = _trace_threads(monkeypatch, wait_for_prior=False)
+
+    def rigid_fails(*args, **kwargs):
+        raise FoldingDetected("the input's registration failed")
+
+    monkeypatch.setattr(pipeline, "register_rigid", rigid_fails)
+    with pytest.raises(FoldingDetected, match="input's registration"):
+        run_segment(warp_free["input"], warp_free["atlas"], str(tmp_path / "o"), fusion="mv", n_workers=2)
+    assert len(rec["prior_threads"]) <= 1
+    assert not any(t.is_alive() for t in rec["started"])
+    assert not (tmp_path / "o").exists()
 
 
 def test_majority_voting_warps_no_prior_intensities(tmp_path, atlas_env, monkeypatch):
@@ -505,14 +586,19 @@ def test_cli_stats_reports_threshold(tmp_path):
 
 
 _STATS_HEADER = "subject_id,label_code,label_name,dice\n"
+_A_DIRECTORY = object()
 
-# case: (text of the A-side metrics CSV, None for no file; the error stats must report)
+# case: (text of the A-side metrics CSV, None for no file, _A_DIRECTORY for a
+# directory in its place; the error stats must report)
 BAD_METRICS_CSV = {
     "missing-file": (None, "MissingFile"),
+    "directory": (_A_DIRECTORY, "DataError"),
     "no-metric-column": ("subject_id,label_code,label_name,vsi\ns0,1,X,0.9\n", "DataError"),
     "header-only-without-metric": ("subject_id,label_code,label_name,vsi\n", "DataError"),
     "non-integer-code": (_STATS_HEADER + "s0,one,X,0.9\n", "DataError"),
     "non-numeric-value": (_STATS_HEADER + "s0,1,X,high\n", "DataError"),
+    "nan-value": (_STATS_HEADER + "s0,1,X,nan\ns1,1,X,0.8\n", "DataError"),
+    "infinite-value": (_STATS_HEADER + "s0,1,X,0.9\ns1,1,X,-inf\n", "DataError"),
 }
 
 
@@ -520,7 +606,9 @@ BAD_METRICS_CSV = {
 def test_cli_stats_bad_metrics_csv_exits_2(tmp_path, capsys, case):
     """A metrics CSV that is missing or malformed is a data error, not a traceback, and writes nothing."""
     text, error = BAD_METRICS_CSV[case]
-    if text is not None:
+    if text is _A_DIRECTORY:
+        (tmp_path / "a.csv").mkdir()
+    elif text is not None:
         (tmp_path / "a.csv").write_text(text)
     (tmp_path / "b.csv").write_text(_STATS_HEADER + "s0,1,X,0.9\ns1,1,X,0.8\n")
     out_csv = tmp_path / "stats.csv"
@@ -529,6 +617,14 @@ def test_cli_stats_bad_metrics_csv_exits_2(tmp_path, capsys, case):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == error
     assert not out_csv.exists()
+
+
+def test_stats_empty_cell_is_a_missing_value(tmp_path):
+    """An empty metric cell drops that subject's pair; the other pairs are tested."""
+    (tmp_path / "a.csv").write_text(_STATS_HEADER + "s0,1,X,0.9\ns1,1,X,\ns2,1,X,0.7\ns3,1,X,0.6\n")
+    (tmp_path / "b.csv").write_text(_STATS_HEADER + "s0,1,X,0.8\ns1,1,X,0.5\ns2,1,X,0.7\ns3,1,X,0.6\n")
+    out = run_stats(str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), str(tmp_path / "s.csv"))
+    assert out["results"][0].dof == 2
 
 
 @pytest.mark.parametrize("m", [0, -1])
@@ -570,6 +666,7 @@ BROKEN_LIBRARY = {
     "missing-scheme": (lambda lib: (lib / "scheme.json").unlink(), "MissingFile"),
     "cropbox-not-json": (lambda lib: (lib / "cropbox.json").write_text("{lo: [0"), "DataError"),
     "cropbox-without-lo": (lambda lib: (lib / "cropbox.json").write_text("{}"), "DataError"),
+    "cropbox-is-a-directory": (lambda lib: (lib / "cropbox.json").unlink() or (lib / "cropbox.json").mkdir(), "DataError"),
     "scheme-row-without-abbrev": (lambda lib: _drop_first_abbrev(lib / "scheme.json"), "DataError"),
     "prior-label-not-in-scheme": (
         lambda lib: _add_unknown_label(lib / "priors" / "prior01" / "labels.nii.gz"), "GeometryMismatch"

@@ -28,7 +28,7 @@ class MissingFile(DataError):
 
 
 class BadMagic(DataError):
-    """File is not single-file NIfTI-1 (magic != 'n+1')."""
+    """File is not single-file NIfTI-1 (magic != 'n+1'), or its header is unusable."""
 
 
 class UnsupportedDatatype(DataError):
@@ -36,7 +36,7 @@ class UnsupportedDatatype(DataError):
 
 
 class DimMismatch(DataError):
-    """dim[0] not 3 (or 4 with a size-1 fourth axis)."""
+    """dim[0] not 3 (or 4 with a size-1 fourth axis), or fewer data bytes than dim declares."""
 
 
 class IoFailure(DataError):
@@ -51,10 +51,6 @@ class LabelOverflow(DataError):
 
 class GeometryMismatch(DataError):
     pass
-
-
-class InterpMismatch(UsageError):
-    """Trilinear interpolation requested for a labelmap."""
 
 
 class NonInvertibleTransform(NumericalError):
@@ -78,7 +74,7 @@ class NonPositiveTI(UsageError):
 # --- register ---
 
 class DegenerateInput(DataError):
-    """Constant-intensity image cannot drive a similarity metric."""
+    """A constant-intensity or non-finite image cannot drive a similarity metric."""
 
 
 class NoOverlap(DataError):

@@ -6,7 +6,9 @@ Conventions used throughout the toolkit:
   position ``affine @ (i, j, k, 1)`` in mm;
 * all resampling is pull-back: the supplied transform maps *target* world
   coordinates into *source* world coordinates;
-* out-of-bounds samples read as 0 (background for labelmaps).
+* out-of-bounds samples read as 0 (background for labelmaps);
+* the image type fixes the interpolation: trilinear for a VolumeGrid,
+  nearest neighbour for a LabelVolume.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .errors import (
     AllBackground,
     EmptyBox,
     GeometryMismatch,
-    InterpMismatch,
     NonInvertibleTransform,
 )
 
@@ -206,6 +207,8 @@ def default_scheme() -> LabelScheme:
 class _Image:
     """3-D data on a Geometry: the lattice code VolumeGrid and LabelVolume share."""
 
+    _ORDER = 1  # spline order of sample(): trilinear
+
     def __init__(self, data, affine):
         if data.ndim != 3:
             raise GeometryMismatch(f"expected 3D data, got shape {data.shape}")
@@ -224,6 +227,11 @@ class _Image:
     def affine(self):
         return self.geometry.affine
 
+    def sample(self, world_pts):
+        """Values at (N, 3) world points, in the data's dtype; out-of-bounds reads as 0."""
+        idx = self.geometry.world_to_index(world_pts)
+        return map_coordinates(self.data, idx.T, order=self._ORDER, mode="constant", cval=0)
+
     def with_data(self, data, geometry: Geometry | None = None):
         """The same type holding data, on this lattice or on geometry."""
         geometry = self.geometry if geometry is None else geometry
@@ -238,13 +246,11 @@ class VolumeGrid(_Image):
     def __init__(self, data, affine):
         super().__init__(np.asarray(data, dtype=np.float64), affine)
 
-    def sample(self, world_pts, interp="trilinear"):
-        """Sample at world points; out-of-bounds reads as 0."""
-        return _sample_array(self.data, self.geometry, world_pts, interp)
-
 
 class LabelVolume(_Image):
     """3D integer codes on a lattice; 0 is background. imgio.read_volume checks them against a scheme."""
+
+    _ORDER = 0  # nearest neighbour: codes are never blended
 
     def __init__(self, data, affine):
         data = np.asarray(data)
@@ -253,11 +259,6 @@ class LabelVolume(_Image):
         super().__init__(data.astype(np.int32), affine)
         if np.any(self.data < 0):
             raise GeometryMismatch("negative label codes")
-
-    def sample(self, world_pts, interp="nearest"):
-        if interp != "nearest":
-            raise InterpMismatch("labelmaps support nearest-neighbor only")
-        return _sample_array(self.data, self.geometry, world_pts, "nearest")
 
 
 @dataclass
@@ -301,28 +302,17 @@ def require_common_grid(*volumes):
         raise GeometryMismatch("inputs are not on a common grid; resample first")
 
 
-def _sample_array(data, geometry: Geometry, world_pts, interp):
-    world_pts = np.atleast_2d(np.asarray(world_pts, dtype=float))
-    idx = geometry.world_to_index(world_pts)
-    order = {"trilinear": 1, "nearest": 0}.get(interp)
-    if order is None:
-        raise InterpMismatch(f"unknown interpolation {interp!r}")
-    return map_coordinates(
-        np.asarray(data, dtype=float), idx.T, order=order, mode="constant", cval=0.0
-    )
-
-
-def resample(source, target_geometry: Geometry, transform=None, interp="trilinear"):
+def resample(source, target_geometry: Geometry, transform=None):
     """Resample onto target_geometry; transform maps target world -> source world.
 
     transform may be None (identity), an AffineTransform, or a DeformationField
-    (both from atlasfuse.register). Labelmaps require interp='nearest'.
+    (both from atlasfuse.register). The source's type fixes the interpolation:
+    trilinear for a VolumeGrid, nearest neighbour for a LabelVolume.
     """
     pts = target_geometry.grid_world()
     if transform is not None:
         pts = transform.map_points(pts)
-    vals = source.sample(pts, interp).reshape(target_geometry.dims)
-    return source.with_data(vals.astype(source.data.dtype, copy=False), target_geometry)
+    return source.with_data(source.sample(pts).reshape(target_geometry.dims), target_geometry)
 
 
 def crop(volume, box: CropBox):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gzip
 import os
+import zlib
 
 import numpy as np
 
@@ -150,8 +151,11 @@ def _affine_from_quaternion(hdr):
 def _read_raw(path, expect_vector=False):
     if not os.path.isfile(path):
         raise MissingFile(path)
-    with _open_read(path) as f:
-        raw = f.read()
+    try:
+        with _open_read(path) as f:
+            raw = f.read()
+    except (OSError, EOFError, zlib.error) as e:  # gzip.BadGzipFile is an OSError
+        raise IoFailure(f"cannot read {path}: {e}") from e
     if len(raw) < HEADER_SIZE:
         raise BadMagic("file shorter than a NIfTI-1 header")
     hdr, order = _read_header(raw[:HEADER_SIZE])
@@ -176,7 +180,12 @@ def _read_raw(path, expect_vector=False):
         raise DimMismatch(f"non-positive dimension in {shape}")
     dt = _DTYPES[code].newbyteorder(order)
     n = int(np.prod(shape))
-    offset = max(int(hdr["vox_offset"]), HEADER_SIZE)
+    vox_offset = float(hdr["vox_offset"])
+    if not np.isfinite(vox_offset):
+        raise BadMagic(f"vox_offset {vox_offset} is not finite")
+    offset = max(int(vox_offset), HEADER_SIZE)
+    if len(raw) < offset + n * dt.itemsize:
+        raise DimMismatch(f"dims {shape} need {offset + n * dt.itemsize} bytes; the file has {len(raw)}")
     data = np.frombuffer(raw, dtype=dt, count=n, offset=offset)
     # NIfTI is Fortran-ordered on disk
     data = data.reshape(shape[::-1]).transpose(range(len(shape))[::-1])

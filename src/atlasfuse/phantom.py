@@ -171,8 +171,8 @@ def _warped_copy(base, spec: WarpSpec, noise_sigma: float, noise_seed: int):
     geom = intensity.geometry
     fwd = random_diffeo(spec, geom)
     inv = invert_field(fwd)
-    wint = _grid.resample(intensity, geom, inv, "trilinear")
-    wlab = _grid.resample(labels, geom, inv, "nearest")
+    wint = _grid.resample(intensity, geom, inv)
+    wlab = _grid.resample(labels, geom, inv)
     if noise_sigma > 0:
         rng = np.random.default_rng(noise_seed)
         span = float(np.ptp(wint.data))
@@ -205,7 +205,7 @@ def derive_atlases(
         ws = replace(template_spec, seed=seed * 10007 + i)
         pint, plab, fwd = _warped_copy(base, ws, noise_sigma, ws.seed + 500009)
         priors.append(AtlasPrior(id=f"prior{i:02d}", intensity=pint, labels=plab, warp_to_template=fwd))
-        back_warped.append(_grid.resample(pint, intensity.geometry, fwd, "trilinear").data)
+        back_warped.append(_grid.resample(pint, intensity.geometry, fwd).data)
     template = intensity.with_data(np.mean(back_warped, axis=0))
     box = label_bounding_box(labels, margin=_CROP_MARGIN)
     return AtlasLibrary(template=template, crop_box=box, scheme=default_scheme(), priors=priors)

@@ -152,7 +152,7 @@ def run_segment(
             total = compose_fields(inv, field)
             warped_labels.append(warp_labels(prior.labels, total, in_crop.geometry))
             if fusion == "jlf":  # majority voting reads labels only
-                warped_ints.append(resample(prior.intensity, in_crop.geometry, total, "trilinear"))
+                warped_ints.append(resample(prior.intensity, in_crop.geometry, total))
     del in_grid
 
     if fusion == "mv":

@@ -182,7 +182,7 @@ def invert_field(field: DeformationField, max_iter=50) -> DeformationField:
 
 
 def warp_labels(labels: LabelVolume, transform, target_geometry: Geometry) -> LabelVolume:
-    return resample(labels, target_geometry, transform, interp="nearest")
+    return resample(labels, target_geometry, transform)
 
 
 # The fixed registration recipe; only the pyramid is configurable (RegConfig).
@@ -230,7 +230,7 @@ def _downsample(vol: VolumeGrid, factor: int) -> VolumeGrid:
     affine = vol.affine.copy()
     affine[:3, :3] *= factor
     geom = Geometry(dims, affine)
-    return resample(vol.with_data(sm), geom, None, "trilinear")
+    return resample(vol.with_data(sm), geom)
 
 
 # --- mutual information ---
@@ -361,6 +361,8 @@ def _coordinate_descent(cost, p0, steps, min_steps, max_sweeps):
 
 def _check_linear_inputs(fixed, moving):
     for name, vol in (("fixed", fixed), ("moving", moving)):
+        if not np.isfinite(vol.data).all():
+            raise DegenerateInput(f"{name} image has non-finite intensities")
         if vol.data.size == 0 or np.ptp(vol.data) == 0:
             raise DegenerateInput(f"{name} image has constant intensity")
     flo, fhi = fixed.geometry.world_bounds()

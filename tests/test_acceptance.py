@@ -196,7 +196,7 @@ def test_criterion_5_registration_recovery(base):
     c_mat = np.eye(4)
     c_mat[:3, 3] = (3.0, 0.0, 0.0)
     c = AffineTransform(c_mat)
-    moving = resample(wmn, wmn.geometry, c, "trilinear")
+    moving = resample(wmn, wmn.geometry, c)
     t = register_rigid(wmn, moving)
     trans_err = float(np.linalg.norm(t.matrix[:3, 3] - c.inverse().matrix[:3, 3]))
 
@@ -206,7 +206,7 @@ def test_criterion_5_registration_recovery(base):
     rot[:2, :2] = [[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]]
     rot[:3, 3] = center - rot[:3, :3] @ center
     c_rot = AffineTransform(rot)
-    moving = resample(wmn, wmn.geometry, c_rot, "trilinear")
+    moving = resample(wmn, wmn.geometry, c_rot)
     t = register_rigid(wmn, moving)
     resid = t.compose(c_rot).matrix[:3, :3]
     rot_err = float(
@@ -218,14 +218,14 @@ def test_criterion_5_registration_recovery(base):
     sc[:3, :3] *= 1.1
     sc[:3, 3] = center - sc[:3, :3] @ center
     c_sc = AffineTransform(sc)
-    moving = resample(wmn, wmn.geometry, c_sc, "trilinear")
+    moving = resample(wmn, wmn.geometry, c_sc)
     t = register_affine(wmn, moving)
     scale_err = abs(float(np.cbrt(np.linalg.det(t.matrix[:3, :3]))) * 1.1 - 1.0)
 
     # deformable: recover a 4 mm max smooth warp well enough for Dice >= 0.90
     w = random_diffeo(WarpSpec(seed=21, max_displacement_mm=4.0), wmn.geometry)
-    subj_int = resample(wmn, wmn.geometry, w, "trilinear")
-    subj_truth = resample(truth, truth.geometry, w, "nearest")
+    subj_int = resample(wmn, wmn.geometry, w)
+    subj_truth = resample(truth, truth.geometry, w)
     box = label_bounding_box(subj_truth, margin=5)
     fixed = crop(subj_int, box)
     g = register_deformable(fixed, crop(wmn, box), AffineTransform.identity(), RegConfig())

@@ -4,12 +4,12 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from atlasfuse.errors import (
     AllBackground,
     EmptyBox,
     GeometryMismatch,
-    InterpMismatch,
     NonInvertibleTransform,
 )
 from atlasfuse.grid import (
@@ -132,14 +132,14 @@ def test_trilinear_ramp_midpoint():
     data = np.zeros((4, 4, 4))
     data[:] = np.arange(4)[:, None, None]
     vol = VolumeGrid(data, np.eye(4))
-    assert vol.sample([(1.5, 1.0, 1.0)], "trilinear")[0] == pytest.approx(1.5, abs=1e-12)
+    assert vol.sample([(1.5, 1.0, 1.0)])[0] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_sampling_at_voxel_centers_reproduces_values():
     rng = np.random.default_rng(1)
     vol = VolumeGrid(rng.standard_normal((6, 6, 6)), np.eye(4))
     pts = vol.geometry.grid_world()
-    vals = vol.sample(pts, "trilinear").reshape(vol.dims)
+    vals = vol.sample(pts).reshape(vol.dims)
     assert np.allclose(vals, vol.data, atol=1e-6)
 
 
@@ -151,23 +151,34 @@ def test_out_of_bounds_reads_zero():
 def test_resample_identity_equals_input():
     rng = np.random.default_rng(2)
     vol = VolumeGrid(rng.standard_normal((8, 8, 8)), np.eye(4))
-    out = resample(vol, vol.geometry, None, "trilinear")
+    out = resample(vol, vol.geometry, None)
     assert np.allclose(out.data, vol.data, atol=1e-9)
 
 
 def test_resample_labels_cannot_invent_codes():
     rng = np.random.default_rng(3)
     lab = LabelVolume(rng.integers(0, 5, size=(12, 12, 12), dtype=np.int32), np.eye(4))
-    out = resample(lab, lab.geometry, _translation((0.3, -0.7, 1.2)), "nearest")
+    out = resample(lab, lab.geometry, _translation((0.3, -0.7, 1.2)))
     assert set(np.unique(out.data)) <= set(np.unique(lab.data)) | {0}
 
 
-def test_resample_labels_trilinear_rejected():
-    lab = LabelVolume(np.zeros((4, 4, 4), dtype=np.int32), np.eye(4))
-    with pytest.raises(InterpMismatch):
-        resample(lab, lab.geometry, None, "trilinear")
-    with pytest.raises(InterpMismatch):
-        lab.sample([(0.0, 0.0, 0.0)], "trilinear")
+def test_resample_interpolation_follows_the_image_type():
+    """Labels are sampled nearest-neighbour as int32 codes, bit for bit what
+    order-0 map_coordinates gives on their float copy, half-voxel ties included;
+    the same codes as intensities are blended trilinearly."""
+    codes = np.arange(4 * 4 * 4, dtype=np.int32).reshape(4, 4, 4) % 7
+    lab = LabelVolume(codes, np.eye(4))
+    target = Geometry((7, 7, 7), np.diag([0.5, 0.5, 0.5, 1.0]))  # every other point is a tie
+    out = resample(lab, target)
+    idx = lab.geometry.world_to_index(target.grid_world())
+    want = map_coordinates(codes.astype(float), idx.T, order=0, mode="constant").reshape(target.dims)
+    assert type(out) is LabelVolume
+    assert out.data.dtype == np.int32
+    assert np.array_equal(out.data, want)
+    blended = resample(VolumeGrid(codes, np.eye(4)), target)
+    trilinear = map_coordinates(codes.astype(float), idx.T, order=1, mode="constant")
+    assert np.array_equal(blended.data, trilinear.reshape(target.dims))
+    assert not np.array_equal(blended.data, want)
 
 
 def test_label_affine_roundtrip_recovers_blocky_phantom():
@@ -180,8 +191,8 @@ def test_label_affine_roundtrip_recovers_blocky_phantom():
     m[:3, :3] = np.diag([1.05, 0.97, 1.02])
     m[:3, 3] = (0.4, -0.3, 0.6)
     fwd = AffineTransform(m)
-    warped = resample(lab, lab.geometry, fwd, "nearest")
-    back = resample(warped, lab.geometry, fwd.inverse(), "nearest")
+    warped = resample(lab, lab.geometry, fwd)
+    back = resample(warped, lab.geometry, fwd.inverse())
     assert np.mean(back.data == lab.data) >= 0.99
 
 
@@ -259,8 +270,7 @@ def test_crop_uncrop_resample_keep_type_dtype_and_scheme(kind):
     sub = crop(img, box)
     full = uncrop(sub, box, img.geometry)
     target = Geometry((6, 5, 4), np.diag([1.5, 1.5, 1.5, 1.0]))
-    interp = "trilinear" if kind == "intensity" else "nearest"
-    moved = resample(full, target, _translation((0.3, -0.7, 1.2)), interp)
+    moved = resample(full, target, _translation((0.3, -0.7, 1.2)))
     assert sub.dims == box.extent
     assert full.geometry.close_to(img.geometry)
     assert moved.geometry.close_to(target)

@@ -1,11 +1,14 @@
 """NIfTI-1 reader/writer round trips and error contracts."""
 
 import gzip
+import json
+import os
 
 import numpy as np
 import pytest
 
 from atlasfuse import imgio
+from atlasfuse.cli import main
 from atlasfuse.errors import (
     BadMagic,
     DimMismatch,
@@ -137,6 +140,48 @@ def test_truncated_file(tmp_path):
     open(path, "wb").write(b"\x00" * 100)
     with pytest.raises(BadMagic):
         imgio.read_volume(path)
+
+
+def _cut_data(path):
+    open(path, "r+b").truncate(os.path.getsize(path) - 100)
+    return path
+
+
+def _gzip_mangled(mangle):
+    """A breaker that gzips the file and writes the stream through mangle."""
+
+    def breaker(path):
+        open(path + ".gz", "wb").write(mangle(gzip.compress(open(path, "rb").read(), mtime=0)))
+        return path + ".gz"
+
+    return breaker
+
+
+CORRUPT_FILES = {
+    "data-shorter-than-header": (_cut_data, DimMismatch),
+    "gzip-cut-in-half": (_gzip_mangled(lambda b: b[: len(b) // 2]), IoFailure),
+    "gzip-bad-crc": (_gzip_mangled(lambda b: b[:-8] + bytes(8)), IoFailure),
+    "gzip-bad-body": (_gzip_mangled(lambda b: b[:10] + bytes(x ^ 0xFF for x in b[10:20]) + b[20:]), IoFailure),
+    "nan-vox-offset": (lambda path: _patch_header(path, vox_offset=np.nan) or path, BadMagic),
+    "inf-vox-offset": (lambda path: _patch_header(path, vox_offset=np.inf) or path, BadMagic),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPT_FILES)
+def test_truncated_or_corrupt_file_is_a_data_error(tmp_path, capsys, case):
+    """A short, cut or corrupt file is bad data: read raises a DataError and
+    the CLI exits 2 with one JSON error line, not a traceback."""
+    breaker, error = CORRUPT_FILES[case]
+    path = str(tmp_path / "seg.nii")
+    imgio.write_volume(LabelVolume(np.ones((8, 8, 8), dtype=np.int32), np.eye(4)), path)
+    path = breaker(path)
+    with pytest.raises(error):
+        imgio.read_volume(path, as_labels=True)
+    out_dir = tmp_path / "eval"
+    assert main(["eval", "--seg-a", path, "--seg-b", path, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == error.__name__
+    assert not out_dir.exists()
 
 
 def test_unsupported_datatype(tmp_path):

@@ -127,7 +127,7 @@ def test_derive_atlases_contract(base):
         # cached warp undoes the prior's deformation: labels come back to base
         from atlasfuse.grid import resample
 
-        back = resample(p.labels, truth.geometry, p.warp_to_template, "nearest")
+        back = resample(p.labels, truth.geometry, p.warp_to_template)
         agree = np.mean(back.data == truth.data)
         assert agree > 0.97
 
@@ -159,7 +159,7 @@ def test_make_subject_deterministic_and_consistent(base):
     # warping the subject's truth labels back by the stored field recovers base labels
     from atlasfuse.grid import resample
 
-    back = resample(s1[1], truth.geometry, s1[2], "nearest")
+    back = resample(s1[1], truth.geometry, s1[2])
     assert np.mean(back.data == truth.data) > 0.97
 
 

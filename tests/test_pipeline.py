@@ -216,8 +216,8 @@ def test_segment_off_the_template_lattice(tmp_path, off_template_lattice, mirror
     affine[:3, 3] = env["centre"] + (7.0, -5.0, 4.0) - block @ ((dims - 1) / 2.0)
     lattice = Geometry(tuple(dims), affine)
     assert (np.linalg.det(block) < 0) == mirrored
-    truth = resample(env["truth"], lattice, None, "nearest")
-    imgio.write_volume(resample(env["subject"], lattice, None, "trilinear"), str(tmp_path / "in.nii.gz"))
+    truth = resample(env["truth"], lattice)
+    imgio.write_volume(resample(env["subject"], lattice), str(tmp_path / "in.nii.gz"))
 
     out = run_segment(str(tmp_path / "in.nii.gz"), env["atlas"], str(tmp_path / "out"))
     seg = imgio.read_volume(out["segmentation"], as_labels=True)
@@ -687,6 +687,21 @@ def _add_unknown_label(path):
 
 
 # case: (how the library copy is broken, the error segment must report)
+def test_segment_non_finite_input_exits_2(tmp_path, capsys, atlas_env):
+    """A NaN voxel in the input is a data error at the rigid stage, not a
+    wrong registration or a numerical failure downstream."""
+    subject = imgio.read_volume(atlas_env["subject"])
+    data = subject.data.copy()
+    data[32, 32, 32] = np.nan
+    path = str(tmp_path / "nan.nii.gz")
+    imgio.write_volume(subject.with_data(data), path)
+    args = ["segment", "--input", path, "--atlas", atlas_env["atlas"], "--out-dir", str(tmp_path / "o")]
+    assert main(args + ["--fusion", "mv"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["message"]) == ("DegenerateInput", "fixed image has non-finite intensities")
+    assert not (tmp_path / "o").exists()
+
+
 BROKEN_LIBRARY = {
     "missing-cropbox": (lambda lib: (lib / "cropbox.json").unlink(), "MissingFile"),
     "missing-scheme": (lambda lib: (lib / "scheme.json").unlink(), "MissingFile"),

@@ -121,8 +121,8 @@ def test_compose_matches_sequential_warping():
     vol = VolumeGrid(gaussian_filter(rng.standard_normal(geom.dims), 3.0), np.eye(4))
     f_outer = random_diffeo(WarpSpec(seed=11, max_displacement_mm=2.0), geom)
     f_inner = random_diffeo(WarpSpec(seed=12, max_displacement_mm=2.0), geom)
-    once = resample(vol, geom, compose_fields(f_outer, f_inner), "trilinear")
-    twice = resample(resample(vol, geom, f_inner, "trilinear"), geom, f_outer, "trilinear")
+    once = resample(vol, geom, compose_fields(f_outer, f_inner))
+    twice = resample(resample(vol, geom, f_inner), geom, f_outer)
     rms = float(np.sqrt(np.mean((once.data - twice.data) ** 2)))
     # the two-pass result carries one extra interpolation, so allow a small
     # smoothing discrepancy relative to the image range
@@ -217,7 +217,7 @@ def test_rigid_registration_deterministic(base):
     wmn, truth, _ = base
     box = label_bounding_box(truth, margin=5)
     fixed = crop(wmn, box)
-    moving = resample(wmn, wmn.geometry, _translation((-1.5, 0.5, 0.0)), "trilinear")
+    moving = resample(wmn, wmn.geometry, _translation((-1.5, 0.5, 0.0)))
     moving = crop(moving, box)
     t1 = register_rigid(fixed, moving)
     t2 = register_rigid(fixed, moving)
@@ -229,6 +229,26 @@ def test_degenerate_input_rejected():
     bump = VolumeGrid(np.random.default_rng(7).standard_normal((16, 16, 16)), np.eye(4))
     with pytest.raises(DegenerateInput):
         register_rigid(flat, bump)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("side", ["fixed", "moving"])
+def test_non_finite_intensity_rejected(base, side, value):
+    """One non-finite voxel is bad data. Unchecked, a NaN in the fixed image made
+    every -MI read 0, and rigid returned the identity without an error."""
+    wmn, truth, _ = base
+    box = label_bounding_box(truth, margin=5)
+    images = {
+        "fixed": crop(wmn, box),
+        "moving": crop(resample(wmn, wmn.geometry, _translation((-1.5, 0.5, 0.0))), box),
+    }
+    data = images[side].data.copy()
+    data[tuple(np.array(data.shape) // 2)] = value
+    images[side] = images[side].with_data(data)
+    with pytest.raises(DegenerateInput, match="non-finite"):
+        register_rigid(images["fixed"], images["moving"])
+    with pytest.raises(DegenerateInput, match="non-finite"):
+        register_deformable(images["fixed"], images["moving"])
 
 
 def test_no_overlap_rejected():
@@ -688,7 +708,7 @@ def _demons_pair(base, seed):
     if seed is None:
         return fixed, fixed
     warp = random_diffeo(WarpSpec(seed=seed, max_displacement_mm=1.0), fixed.geometry)
-    return fixed, resample(fixed, fixed.geometry, warp, "trilinear")
+    return fixed, resample(fixed, fixed.geometry, warp)
 
 
 # case: (warp seed or None for moving = fixed, init translation, shrink factors,

@@ -13,30 +13,10 @@ import sys
 
 from . import __version__, imgio
 from .errors import AtlasFuseError, NumericalError, UsageError
-from .fusion import JlfParams
+from .metrics import DEFAULT_COMPARISONS, METRICS
 from .phantom import PhantomSpec, WarpSpec, derive_atlases, make_subject, synthesized_base
-from .pipeline import DEFAULT_FUSION, run_eval, run_segment, run_stats
-from .register import RegConfig
-from .synth import SynthesisParams, synthesize_wmn
-
-
-def _load_config_file(path):
-    try:
-        with open(path) as f:
-            cfg = json.load(f)
-    except (OSError, ValueError) as e:
-        raise UsageError(f"cannot read config {path}: {e}") from e
-    if not isinstance(cfg, dict):
-        raise UsageError(f"config {path} must hold a JSON object")
-    return cfg
-
-
-def _params(cls, cfg: dict, key: str):
-    """cls built from the config's ``key`` section; a bad section is a usage error."""
-    try:
-        return cls(**cfg.get(key, {}))
-    except (TypeError, ValueError) as e:
-        raise UsageError(f"bad {key}: {e}") from e
+from .pipeline import CONFIG_KEYS, DEFAULT_FUSION, FUSIONS, read_config, run_eval, run_segment, run_stats
+from .synth import DEFAULT_TI_MS, SynthesisParams, synthesize_wmn
 
 
 def cmd_synth(args):
@@ -50,19 +30,11 @@ def cmd_synth(args):
 
 
 def cmd_segment(args):
-    cfg = _load_config_file(args.config) if args.config else {}
-    mode = args.mode or cfg.get("mode", "wmn")
-    fusion = args.fusion or cfg.get("fusion")
+    settings = read_config(args.config) if args.config else {}
+    # --mode and --fusion stand in for the config's keys of the same names
+    settings.update({k: v for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None})
     out = run_segment(
-        args.input,
-        args.atlas,
-        args.out_dir,
-        mode=mode,
-        fusion=fusion,
-        reg_config=_params(RegConfig, cfg, "reg_config"),
-        jlf_params=_params(JlfParams, cfg, "jlf_params"),
-        true_warp_path=args.true_warp,
-        n_workers=args.workers,
+        args.input, args.atlas, args.out_dir, true_warp_path=args.true_warp, n_workers=args.workers, **settings
     )
     print(json.dumps({"status": "ok", "outputs": out}))
     return 0
@@ -94,6 +66,8 @@ def cmd_stats(args):
 
 
 def cmd_phantom(args):
+    if args.n_atlases < 1:
+        raise UsageError(f"--n-atlases must be >= 1, got {args.n_atlases}")
     try:
         spec = PhantomSpec(seed=args.seed, noise_sigma=args.noise)
         warp = WarpSpec(seed=args.seed, max_displacement_mm=args.max_warp_mm)
@@ -104,7 +78,6 @@ def cmd_phantom(args):
     lib.save(args.out_dir)
     subj_int, subj_truth, subj_warp = make_subject(
         (base_int, truth),
-        seed=args.seed + 99991,
         warp_spec=WarpSpec(seed=args.seed + 99991, max_displacement_mm=args.max_warp_mm),
     )
     sdir = os.path.join(args.out_dir, "subject")
@@ -124,7 +97,7 @@ def build_parser():
 
     ps = sub.add_parser("synth", help="synthesize WMn contrast from a T1 map")
     ps.add_argument("--t1", required=True)
-    ps.add_argument("--ti", type=float, default=750.0)
+    ps.add_argument("--ti", type=float, default=DEFAULT_TI_MS)
     ps.add_argument("--out", required=True)
     ps.add_argument("--signed", action="store_true")
     ps.add_argument("--m0", default=None)
@@ -136,7 +109,7 @@ def build_parser():
     pg.add_argument("--atlas", required=True)
     pg.add_argument("--out-dir", required=True)
     pg.add_argument("--mode", choices=tuple(DEFAULT_FUSION), default=None)
-    pg.add_argument("--fusion", choices=("jlf", "mv"), default=None)
+    pg.add_argument("--fusion", choices=FUSIONS, default=None)
     pg.add_argument("--config", default=None, help="JSON config mirroring the run manifest")
     pg.add_argument("--true-warp", default=None, help="bypass registration with a known warp")
     pg.add_argument(
@@ -163,8 +136,8 @@ def build_parser():
     pt.add_argument("--csv-a", required=True)
     pt.add_argument("--csv-b", required=True)
     pt.add_argument("--out", required=True)
-    pt.add_argument("--m", type=int, default=13)
-    pt.add_argument("--metric", default="dice", choices=("dice", "vsi", "centroid_dist_mm"))
+    pt.add_argument("--m", type=int, default=DEFAULT_COMPARISONS)
+    pt.add_argument("--metric", default=METRICS[0], choices=METRICS)
     pt.set_defaults(func=cmd_stats)
 
     pp = sub.add_parser("phantom", help="generate a phantom atlas library and test subject")
@@ -172,7 +145,7 @@ def build_parser():
     pp.add_argument("--out-dir", required=True)
     pp.add_argument("--n-atlases", type=int, default=5)
     pp.add_argument("--noise", type=float, default=0.0)
-    pp.add_argument("--max-warp-mm", type=float, default=3.0)
+    pp.add_argument("--max-warp-mm", type=float, default=WarpSpec.max_displacement_mm)
     pp.set_defaults(func=cmd_phantom)
     return p
 

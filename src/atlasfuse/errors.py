@@ -74,7 +74,8 @@ class NonPositiveTI(UsageError):
 # --- register ---
 
 class DegenerateInput(DataError):
-    """A constant-intensity or non-finite image cannot drive a similarity metric."""
+    """A constant-intensity or non-finite image, or a pyramid level one voxel
+    wide, cannot drive a similarity metric."""
 
 
 class NoOverlap(DataError):

@@ -215,8 +215,12 @@ def read_volume(path, as_labels=False, scheme=None):
         return labels
     out = np.ascontiguousarray(data).astype(np.float64)
     slope, inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
-    if slope != 0.0 and not (slope == 1.0 and inter == 0.0):
-        out = out * slope + inter
+    # a zero or non-finite slope means no scaling, as nibabel's get_slope_inter reads it
+    if slope != 0.0 and np.isfinite(slope):
+        if not np.isfinite(inter):
+            raise BadMagic(f"scl_inter {inter} is not finite")
+        if not (slope == 1.0 and inter == 0.0):
+            out = out * slope + inter
     return VolumeGrid(out, affine)
 
 

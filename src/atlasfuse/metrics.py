@@ -10,18 +10,26 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import stdtr
 
 from .atomic import atomic_open
-from .errors import EmptyStructure, InsufficientSubjects, LengthMismatch
+from .errors import DataError, EmptyStructure, InsufficientSubjects, LengthMismatch
 from .grid import LabelScheme, LabelVolume, require_common_grid
+from .library import read_data_file
 
 WHOLE_THALAMUS_CODE = -1
+WHOLE_THALAMUS_NAME = "Thalamus"
 DEFAULT_COMPARISONS = 13  # 12 nuclei + whole thalamus
 _ALPHA = 0.05  # significance level of one test, before the Bonferroni correction
+# labels are carried by nearest neighbour, wherever a labelmap is warped
+LABEL_INTERPOLATION_NOTE = {"label_interpolation": "nearest"}
+
+METRICS = ("dice", "vsi", "centroid_dist_mm")  # the metrics-table columns stats compares; dice first
+# the metrics table's value columns, each a NucleusMetrics field, and the format metrics.csv writes
+_VALUE_FORMATS = {"vol_a_mm3": ".6f", "vol_b_mm3": ".6f", **dict.fromkeys(METRICS, ".9f")}
 
 
 def _mask(labels: LabelVolume, code) -> np.ndarray:
@@ -71,11 +79,11 @@ def nucleus_volume(labels: LabelVolume, code) -> float:
 class NucleusMetrics:
     code: int
     name: str
-    volume_a_mm3: float
-    volume_b_mm3: float
+    vol_a_mm3: float
+    vol_b_mm3: float
     dice: float
     vsi: float
-    centroid_distance_mm: float | None  # None when either side is empty
+    centroid_dist_mm: float | None  # None when either side is empty
     both_empty: bool = False
 
 
@@ -93,57 +101,56 @@ class PairedTestResult:
 
 @dataclass
 class SegmentationReport:
-    rows: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
+    rows: list
+    notes: dict
 
     def to_csv(self, path, subject_id=""):
+        """One row per structure; an empty cell is a missing value (read_metrics_csv)."""
         with atomic_open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(
-                [
-                    "subject_id",
-                    "label_code",
-                    "label_name",
-                    "vol_a_mm3",
-                    "vol_b_mm3",
-                    "dice",
-                    "vsi",
-                    "centroid_dist_mm",
-                ]
-            )
+            w.writerow(["subject_id", "label_code", "label_name", *_VALUE_FORMATS])
             for r in self.rows:
-                w.writerow(
-                    [
-                        subject_id,
-                        r.code,
-                        r.name,
-                        f"{r.volume_a_mm3:.6f}",
-                        f"{r.volume_b_mm3:.6f}",
-                        f"{r.dice:.9f}",
-                        f"{r.vsi:.9f}",
-                        "" if r.centroid_distance_mm is None else f"{r.centroid_distance_mm:.9f}",
-                    ]
-                )
+                values = ((getattr(r, col), fmt) for col, fmt in _VALUE_FORMATS.items())
+                w.writerow([subject_id, r.code, r.name, *("" if v is None else format(v, fmt) for v, fmt in values)])
 
     def to_json(self, path):
-        payload = {
-            "notes": self.notes,
-            "rows": [
-                {
-                    "code": r.code,
-                    "name": r.name,
-                    "vol_a_mm3": r.volume_a_mm3,
-                    "vol_b_mm3": r.volume_b_mm3,
-                    "dice": r.dice,
-                    "vsi": r.vsi,
-                    "centroid_dist_mm": r.centroid_distance_mm,
-                    "both_empty": r.both_empty,
-                }
-                for r in self.rows
-            ],
-        }
         with atomic_open(path) as f:
-            json.dump(payload, f, indent=2)
+            json.dump({"notes": self.notes, "rows": [asdict(r) for r in self.rows]}, f, indent=2)
+
+
+def read_metrics_csv(path, metric):
+    """(subject, code) -> metric value or None, and code -> label name, from a metrics.csv.
+
+    An empty cell is a missing value. A missing file is MissingFile; a file
+    that cannot be read or lacks the metric's column, or a row without an
+    integer code or a finite numeric value, is DataError.
+    """
+
+    def parse(f):
+        rows, names = {}, {}
+        reader = csv.DictReader(f)
+        if metric not in (reader.fieldnames or ()):
+            raise DataError(f"{path} has no {metric!r} column")
+        for row in reader:
+            code = int(row["label_code"])
+            val = float(row[metric]) if row[metric] != "" else None
+            if val is not None and not np.isfinite(val):
+                raise DataError(f"{path}: non-finite {metric} for subject {row['subject_id']}")
+            rows[(row["subject_id"], code)] = val
+            names[code] = row["label_name"]
+        return rows, names
+
+    return read_data_file(path, parse)
+
+
+def write_volumes_csv(labels: LabelVolume, scheme: LabelScheme, path):
+    """Volume in mm^3 of the whole thalamus and of each of scheme's codes."""
+    with atomic_open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["label_code", "label_name", "volume_mm3"])
+        w.writerow([WHOLE_THALAMUS_CODE, WHOLE_THALAMUS_NAME, f"{nucleus_volume(labels, WHOLE_THALAMUS_CODE):.6f}"])
+        for code in scheme.codes():
+            w.writerow([code, scheme[code].abbrev, f"{nucleus_volume(labels, code):.6f}"])
 
 
 def _aggregate_bilateral(labels: LabelVolume, scheme: LabelScheme) -> LabelVolume:
@@ -166,12 +173,10 @@ def build_report(
         seg_a = _aggregate_bilateral(seg_a, scheme)
         seg_b = _aggregate_bilateral(seg_b, scheme)
         scheme = LabelScheme([e for e in scheme.entries.values() if e.hemisphere != "left"])
-    report = SegmentationReport()
-    report.notes["aggregated_hemispheres"] = aggregate_hemispheres
-    report.notes["label_interpolation"] = "nearest"
+    rows = []
     for code in [WHOLE_THALAMUS_CODE, *scheme.codes()]:
         if code == WHOLE_THALAMUS_CODE:
-            name = "Thalamus"
+            name = WHOLE_THALAMUS_NAME
         else:
             e = scheme[code]
             name = e.abbrev if aggregate_hemispheres else f"{e.abbrev}-{e.hemisphere[:1].upper()}"
@@ -183,10 +188,8 @@ def build_report(
             cd = centroid_distance(seg_a, seg_b, code)
         except EmptyStructure:
             cd = None
-        report.rows.append(
-            NucleusMetrics(code, name, va, vb, d, v, cd, both_empty=(va == 0 and vb == 0))
-        )
-    return report
+        rows.append(NucleusMetrics(code, name, va, vb, d, v, cd, both_empty=(va == 0 and vb == 0)))
+    return SegmentationReport(rows, {"aggregated_hemispheres": aggregate_hemispheres, **LABEL_INTERPOLATION_NOTE})
 
 
 def student_t_sf_two_sided(t: float, dof: int) -> float:

@@ -81,11 +81,10 @@ _X_RIGHT, _X_LEFT = 19.0, 44.0
 
 def default_nuclei() -> list:
     out = []
-    for code in range(1, 13):
+    for code, axes in _DEFAULT_SEMI_AXES.items():
         y = _SLOT_Y[(code - 1) // 3]
         z = _SLOT_Z[(code - 1) % 3]
         t1 = 1400.0 + 50.0 * code
-        axes = _DEFAULT_SEMI_AXES[code]
         out.append(Nucleus(code, (_X_RIGHT, y, z), axes, t1))
         out.append(Nucleus(code + 100, (_X_LEFT, y, z), axes, t1))
     return out

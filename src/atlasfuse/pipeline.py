@@ -10,7 +10,6 @@ the template, fuses the labels, and uncrops the result into the input frame.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -22,17 +21,20 @@ import numpy as np
 
 from . import __version__, imgio
 from .atomic import atomic_open
-from .errors import DataError, GeometryMismatch, InsufficientSubjects, RowMismatch, UsageError
+from .errors import GeometryMismatch, InsufficientSubjects, RowMismatch, UsageError
 from .fusion import JlfParams, joint_label_fusion, majority_vote
 from .grid import CropBox, crop, default_scheme, resample, uncrop
-from .library import AtlasLibrary, read_data_file, template_path
+from .library import AtlasLibrary, template_path
 from .metrics import (
-    WHOLE_THALAMUS_CODE,
+    DEFAULT_COMPARISONS,
+    LABEL_INTERPOLATION_NOTE,
+    METRICS,
     bonferroni_threshold,
     build_report,
-    nucleus_volume,
     paired_t_test,
+    read_metrics_csv,
     write_stats_csv,
+    write_volumes_csv,
 )
 from .register import (
     AffineTransform,
@@ -46,8 +48,13 @@ from .register import (
     warp_labels,
 )
 
+FUSIONS = ("jlf", "mv")
 # each mode and the fusion it selects when none is given; nothing else differs
 DEFAULT_FUSION = {"wmn": "jlf", "mp2syn": "jlf", "mp2uni": "mv"}
+# manifest.json's top-level keys: the run's settings, which a config file may
+# give (run_segment's parameters of the same names), then the run's record
+CONFIG_KEYS = ("mode", "fusion", "reg_config", "jlf_params")
+MANIFEST_KEYS = (*CONFIG_KEYS, "input_hashes", "tool_version", "notes")
 
 
 def _sha256(path):
@@ -56,6 +63,32 @@ def _sha256(path):
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def read_config(path):
+    """run_segment's settings, by parameter name, from a JSON file that mirrors manifest.json.
+
+    A manifest's record of its run is ignored, so a manifest reruns its
+    segmentation. A file that cannot be read or is not a JSON object, a key no
+    manifest holds, or a section its class rejects is a UsageError.
+    """
+    try:
+        with open(path) as f:
+            cfg = json.load(f)
+    except (OSError, ValueError) as e:
+        raise UsageError(f"cannot read config {path}: {e}") from e
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {path} must hold a JSON object")
+    unknown = sorted(set(cfg) - set(MANIFEST_KEYS))
+    if unknown:
+        raise UsageError(f"config {path} has keys no manifest holds: {unknown}")
+    settings = {key: cfg[key] for key in CONFIG_KEYS if key in cfg}
+    for key, cls in (("reg_config", RegConfig), ("jlf_params", JlfParams)):
+        try:
+            settings[key] = cls(**cfg.get(key, {}))
+        except (TypeError, ValueError) as e:
+            raise UsageError(f"bad {key}: {e}") from e
+    return settings
 
 
 def _prior_warp(prior, t_crop, lib, config):
@@ -130,8 +163,8 @@ def run_segment(
     if mode not in DEFAULT_FUSION:
         raise UsageError(f"mode must be one of {tuple(DEFAULT_FUSION)}")
     fusion = fusion or DEFAULT_FUSION[mode]
-    if fusion not in ("jlf", "mv"):
-        raise UsageError("fusion must be 'jlf' or 'mv'")
+    if fusion not in FUSIONS:
+        raise UsageError(f"fusion must be one of {FUSIONS}")
     if n_workers < 1:
         raise UsageError("n_workers must be >= 1")
     config = reg_config or RegConfig()
@@ -166,13 +199,7 @@ def run_segment(
     imgio.write_volume(seg_full, seg_path)
 
     vol_path = os.path.join(out_dir, "volumes.csv")
-    with atomic_open(vol_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["label_code", "label_name", "volume_mm3"])
-        w.writerow([WHOLE_THALAMUS_CODE, "Thalamus", f"{nucleus_volume(seg_full, WHOLE_THALAMUS_CODE):.6f}"])
-        for code in lib.scheme.codes():
-            e = lib.scheme[code]
-            w.writerow([code, e.abbrev, f"{nucleus_volume(seg_full, code):.6f}"])
+    write_volumes_csv(seg_full, lib.scheme, vol_path)
 
     manifest = {
         "mode": mode,
@@ -188,7 +215,7 @@ def run_segment(
             "true_warp": bool(true_warp_path),
             "crop_box_input": in_box.to_dict(),
             "computed_prior_warps": sorted(p.id for p in lib.priors if p.warp_to_template is None),
-            "label_interpolation": "nearest",
+            **LABEL_INTERPOLATION_NOTE,
         },
     }
     man_path = os.path.join(out_dir, "manifest.json")
@@ -229,37 +256,12 @@ def run_eval(
     return {"csv": csv_path, "json": json_path, "report": report}
 
 
-def _read_metrics_csv(path, metric):
-    """(subject, code) -> metric value or None, and code -> label name.
-
-    An empty cell is a missing value. A missing file is MissingFile; a file
-    that cannot be read or lacks the metric's column, or a row without an
-    integer code or a finite numeric value, is DataError.
-    """
-
-    def parse(f):
-        rows, names = {}, {}
-        reader = csv.DictReader(f)
-        if metric not in (reader.fieldnames or ()):
-            raise DataError(f"{path} has no {metric!r} column")
-        for row in reader:
-            code = int(row["label_code"])
-            val = float(row[metric]) if row[metric] != "" else None
-            if val is not None and not np.isfinite(val):
-                raise DataError(f"{path}: non-finite {metric} for subject {row['subject_id']}")
-            rows[(row["subject_id"], code)] = val
-            names[code] = row["label_name"]
-        return rows, names
-
-    return read_data_file(path, parse)
-
-
-def run_stats(csv_a_path, csv_b_path, out_path, m=13, metric="dice"):
+def run_stats(csv_a_path, csv_b_path, out_path, m=DEFAULT_COMPARISONS, metric=METRICS[0]):
     """Per-label paired t-tests of metric A vs B across subjects; m is the Bonferroni comparison count."""
     if m < 1:
         raise UsageError(f"m must be >= 1, got {m}")
-    a, names = _read_metrics_csv(csv_a_path, metric)
-    b, _ = _read_metrics_csv(csv_b_path, metric)
+    a, names = read_metrics_csv(csv_a_path, metric)
+    b, _ = read_metrics_csv(csv_b_path, metric)
     if set(a) != set(b):
         raise RowMismatch("subject/label rows differ between the two CSVs")
     results = []

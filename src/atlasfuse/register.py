@@ -223,10 +223,13 @@ class RegConfig:
 
 
 def _downsample(vol: VolumeGrid, factor: int) -> VolumeGrid:
+    """The image at one pyramid level; an axis of one voxel leaves no gradient or MI sample there."""
+    dims = tuple(int(np.ceil(d / factor)) for d in vol.dims)
+    if min(dims) < 2:
+        raise DegenerateInput(f"shrink factor {factor} leaves a {dims} lattice; each axis needs 2 voxels or more")
     if factor == 1:
         return vol
     sm = gaussian_filter(vol.data, sigma=factor / 2.0, mode="nearest")
-    dims = tuple(max(1, int(np.ceil(d / factor))) for d in vol.dims)
     affine = vol.affine.copy()
     affine[:3, :3] *= factor
     geom = Geometry(dims, affine)

@@ -1,7 +1,7 @@
 """Source hygiene: every name a package module imports is used in it, every
 import sits at module level, every function, class and method the package
-defines is referenced, every defaulted parameter is passed by some call, and
-every parameter is read by its function."""
+defines is referenced, every defaulted parameter and dataclass field is set by
+some call, and every parameter is read by its function."""
 
 import ast
 import pathlib
@@ -120,6 +120,27 @@ def _defaulted_parameters(fn, offset):
     return out
 
 
+def _passed_arguments(calling: list) -> dict:
+    """Called name -> (most positional arguments, keywords, whether **kwargs was
+    passed) over every call in the `calling` sources; *args counts as every position."""
+    passed = {}
+    for source in calling:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            n_pos, keywords, star_kw = passed.get(name, (0, set(), False))
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            n_pos = max(n_pos, float("inf") if starred else len(call.args))
+            keywords |= {k.arg for k in call.keywords if k.arg is not None}
+            star_kw |= any(k.arg is None for k in call.keywords)
+            passed[name] = (n_pos, keywords, star_kw)
+    return passed
+
+
 def unset_parameters(defining: dict, calling: list) -> list:
     """Defaulted parameters of the functions and methods in the `defining`
     sources (name -> source) that no call in the `calling` sources passes,
@@ -147,21 +168,7 @@ def unset_parameters(defining: dict, calling: list) -> list:
             label = f"{module}.{cls}.{fn.name}" if cls else f"{module}.{fn.name}"
             for name, index in _defaulted_parameters(fn, offset):
                 params.append((called, label, name, index, fn.lineno))
-    passed = {}  # called name -> (most positional arguments, keywords, **kwargs seen)
-    for source in calling:
-        for call in ast.walk(ast.parse(source)):
-            if not isinstance(call, ast.Call):
-                continue
-            func = call.func
-            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
-            if name is None:
-                continue
-            n_pos, keywords, star_kw = passed.get(name, (0, set(), False))
-            starred = any(isinstance(a, ast.Starred) for a in call.args)
-            n_pos = max(n_pos, float("inf") if starred else len(call.args))
-            keywords |= {k.arg for k in call.keywords if k.arg is not None}
-            star_kw |= any(k.arg is None for k in call.keywords)
-            passed[name] = (n_pos, keywords, star_kw)
+    passed = _passed_arguments(calling)
     unset = []
     for called, label, name, index, line in params:
         n_pos, keywords, star_kw = passed.get(called, (0, set(), False))
@@ -198,6 +205,66 @@ def test_unset_parameter_scan_catches_a_default_no_call_passes():
         "m.A.m(j) (line 4)",
         "m.f(q) (line 6)",
     ]
+
+
+def _is_dataclass(cls) -> bool:
+    """Whether cls is decorated by dataclass: bare, called, or as dataclasses.dataclass."""
+    targets = (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list)
+    return any(getattr(t, "id", getattr(t, "attr", None)) == "dataclass" for t in targets)
+
+
+def unset_fields(defining: dict, calling: list) -> list:
+    """Defaulted fields of the dataclasses in the `defining` sources (name ->
+    source) that no call in the `calling` sources sets, as
+    'module.Class.field (line n)'. A call to the class sets a field by keyword
+    or by position, and a call to `replace` sets the fields it names; calls are
+    matched by name alone, as in unset_parameters.
+    """
+    passed = _passed_arguments(calling)
+    _, replaced, replace_star = passed.get("replace", (0, set(), False))
+    unset = []
+    for module, source in defining.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            n_pos, keywords, star_kw = passed.get(cls.name, (0, set(), False))
+            fields = [f for f in cls.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+            for index, f in enumerate(fields):
+                name = f.target.id
+                if f.value is None or star_kw or replace_star or index < n_pos or name in keywords | replaced:
+                    continue
+                unset.append(f"{module}.{cls.name}.{name} (line {f.lineno})")
+    return sorted(unset)
+
+
+def test_every_defaulted_field_is_set_somewhere():
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    repo = pathlib.Path(__file__).parent.parent
+    callers = [p.read_text() for d in ("tests", "bench") for p in sorted((repo / d).glob("*.py"))]
+    assert unset_fields(package, [*package.values(), *callers]) == []
+
+
+def test_unset_field_scan_catches_a_default_no_call_sets():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field, replace\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: int = 1\n"
+        "    z: list = field(default_factory=list)\n"
+        "    w: int = 2\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class B:\n"
+        "    p: int = 0\n"
+        "    q: int = 0\n"
+        "    r: int = 0\n"
+        "class C:\n"
+        "    s: int = 0\n"
+        "a = A(0, 1)\n"
+        "b = dataclasses.replace(B(p=1), q=2)\n"
+    )
+    assert unset_fields({"m": source}, [source]) == ["m.A.w (line 8)", "m.A.z (line 7)", "m.B.r (line 13)"]
 
 
 def unread_parameters(defining: dict) -> list:

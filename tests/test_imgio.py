@@ -250,6 +250,35 @@ def test_slope_zero_means_no_scaling(tmp_path):
     assert np.array_equal(back.data, vol.data.astype(np.float32).astype(np.float64))
 
 
+@pytest.mark.parametrize("slope", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_slope_means_no_scaling(tmp_path, slope):
+    """A NaN or infinite scl_slope reads like 0, as no scaling; applied, it made every voxel NaN or inf."""
+    vol = _random_volume(np.random.default_rng(9))
+    path = str(tmp_path / "v.nii")
+    imgio.write_volume(vol, path)
+    _patch_header(path, scl_slope=slope, scl_inter=99.0)
+    back = imgio.read_volume(path)
+    assert np.array_equal(back.data, vol.data.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("slope", [1.0, 2.0])
+@pytest.mark.parametrize("inter", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_intercept_is_a_data_error(tmp_path, capsys, slope, inter):
+    """A finite scl_slope with a NaN or infinite scl_inter cannot be applied: the
+    read raises BadMagic, and the CLI exits 2 with one JSON error line and no output."""
+    vol = _random_volume(np.random.default_rng(9))
+    path = str(tmp_path / "v.nii")
+    imgio.write_volume(vol, path)
+    _patch_header(path, scl_slope=slope, scl_inter=inter)
+    with pytest.raises(BadMagic, match="scl_inter"):
+        imgio.read_volume(path)
+    out = tmp_path / "wmn.nii.gz"
+    assert main(["synth", "--t1", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "BadMagic"
+    assert not out.exists()
+
+
 def test_big_endian_read(tmp_path):
     """Byte-swapped header and data decode identically (detected via sizeof_hdr)."""
     vol = _random_volume(np.random.default_rng(10))

@@ -204,7 +204,7 @@ def test_build_report_self_comparison():
     for row in report.rows:
         assert row.dice == 1.0 and row.vsi == 1.0
         if not row.both_empty:
-            assert row.centroid_distance_mm == pytest.approx(0.0, abs=1e-12)
+            assert row.centroid_dist_mm == pytest.approx(0.0, abs=1e-12)
     assert len(report.rows) == 1 + len(scheme.codes())
 
 
@@ -216,7 +216,7 @@ def test_build_report_empty_other_side():
     b = LabelVolume(np.zeros((16, 16, 16), dtype=np.int32), np.eye(4))
     report = build_report(a, b, scheme)
     row = next(r for r in report.rows if r.code == 1)
-    assert row.dice == 0.0 and row.vsi == 0.0 and row.centroid_distance_mm is None
+    assert row.dice == 0.0 and row.vsi == 0.0 and row.centroid_dist_mm is None
 
 
 def test_build_report_aggregates_hemispheres():
@@ -227,7 +227,7 @@ def test_build_report_aggregates_hemispheres():
     lab = LabelVolume(data, np.eye(4))
     report = build_report(lab, lab, scheme, aggregate_hemispheres=True)
     row = next(r for r in report.rows if r.code == 3)
-    assert row.volume_a_mm3 == pytest.approx(54.0)  # both hemispheres pooled
+    assert row.vol_a_mm3 == pytest.approx(54.0)  # both hemispheres pooled
     assert not any(r.code > 100 for r in report.rows)
 
 

@@ -62,6 +62,11 @@ def test_segment_outputs_exist_and_manifest_is_self_describing(segment_run, atla
     assert man["notes"]["computed_prior_warps"] == []  # every prior warp was cached
 
 
+def test_manifest_holds_exactly_the_keys_a_config_may_hold(segment_run):
+    """read_config accepts every top-level key run_segment writes, and no other."""
+    assert sorted(json.load(open(segment_run["manifest"]))) == sorted(pipeline.MANIFEST_KEYS)
+
+
 def test_segment_volumes_csv_matches_segmentation(segment_run):
     seg = imgio.read_volume(segment_run["segmentation"], as_labels=True)
     with open(segment_run["volumes"], newline="") as f:
@@ -586,7 +591,10 @@ def test_cli_phantom_then_segment_with_true_warp(tmp_path):
 
 @pytest.mark.parametrize(
     "option, value",
-    [("--max-warp-mm", "nan"), ("--max-warp-mm", "inf"), ("--max-warp-mm", "-1"), ("--noise", "-0.5"), ("--noise", "nan")],
+    [
+        ("--max-warp-mm", "nan"), ("--max-warp-mm", "inf"), ("--max-warp-mm", "-1"), ("--noise", "-0.5"), ("--noise", "nan"),
+        ("--n-atlases", "0"), ("--n-atlases", "-1"),
+    ],
 )
 def test_cli_phantom_bad_amplitude_exits_1_before_building(tmp_path, monkeypatch, option, value):
     built = []
@@ -663,8 +671,8 @@ def test_cli_stats_rejects_fewer_than_one_comparison(tmp_path, capsys, monkeypat
             for s in range(3):
                 w.writerow([f"s{s}", 1, "X", f"{0.9 + 0.01 * s:.4f}"])
     read = []
-    real_read = pipeline._read_metrics_csv
-    monkeypatch.setattr(pipeline, "_read_metrics_csv", lambda *a: read.append(a) or real_read(*a))
+    real_read = pipeline.read_metrics_csv
+    monkeypatch.setattr(pipeline, "read_metrics_csv", lambda *a: read.append(a) or real_read(*a))
     out_csv = tmp_path / "stats.csv"
     args = ["stats", "--csv-a", str(tmp_path / "a.csv"), "--csv-b", str(tmp_path / "b.csv"), "--out", str(out_csv)]
     assert main(args + [f"--m={m}"]) == 1
@@ -749,12 +757,15 @@ def test_segment_broken_library_exits_2(tmp_path, capsys, warp_free, case):
         json.dumps({"reg_config": {"conv_window": -3}}),
         json.dumps({"jlf_params": {"patch_radius": 1.5}}),
         json.dumps({"jlf_params": {"beta": float("nan")}}),
+        json.dumps({"fusoin": "mv"}),
+        json.dumps({"fusion": "mv", "shrink_factors": [2, 1]}),
     ],
     ids=[
         "unknown-key", "bad-value", "not-json", "json-array", "missing-file",
         "zero-shrink", "short-levels", "negative-iters",
         "no-metric-samples", "zero-bins", "fractional-bins", "jacobian-above-one",
         "negative-cc-radius", "negative-step", "negative-stall-window", "fractional-patch", "nan-beta",
+        "misspelt-top-level-key", "section-key-at-top-level",
     ],
 )
 def test_segment_bad_config_exits_1(tmp_path, capsys, text):
@@ -767,6 +778,36 @@ def test_segment_bad_config_exits_1(tmp_path, capsys, text):
     args = ["segment", "--input", missing_input, "--atlas", missing_atlas, "--out-dir", str(tmp_path / "o")]
     assert main(args + ["--config", str(path)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+
+
+def test_segment_one_voxel_pyramid_level_exits_2(tmp_path, capsys, warp_free):
+    """A shrink factor that leaves the 32^3 input one voxel wide is a data error
+    with one JSON error line; it used to end in numpy's ValueError."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"reg_config": {"shrink_factors": [64], "linear_iters": [1], "deform_iters": [1]}}))
+    out_dir = tmp_path / "o"
+    args = ["segment", "--input", warp_free["input"], "--atlas", warp_free["atlas"], "--out-dir", str(out_dir)]
+    assert main(args + ["--fusion", "mv", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "DegenerateInput"
+    assert "shrink factor 64" in json.loads(err[0])["message"]
+    assert not out_dir.exists()
+
+
+def test_segment_single_slice_input_exits_2(tmp_path, capsys, warp_free):
+    """One slice of the input has no pyramid level with a second voxel along z,
+    so it is a data error, not a registration on an empty MI sample."""
+    subject = imgio.read_volume(warp_free["input"])
+    affine = subject.affine.copy()
+    affine[:3, 3] += 16 * affine[:3, 2]
+    path = str(tmp_path / "slice.nii.gz")
+    imgio.write_volume(VolumeGrid(subject.data[:, :, 16:17], affine), path)
+    out_dir = tmp_path / "o"
+    args = ["segment", "--input", path, "--atlas", warp_free["atlas"], "--out-dir", str(out_dir)]
+    assert main(args + ["--fusion", "mv"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "DegenerateInput"
+    assert not out_dir.exists()
 
 
 def test_segment_manifest_round_trips_as_a_config(tmp_path, warp_free):

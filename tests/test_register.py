@@ -1,5 +1,7 @@
 """Transforms, displacement-field algebra, and registration behavior."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter, map_coordinates
@@ -229,6 +231,29 @@ def test_degenerate_input_rejected():
     bump = VolumeGrid(np.random.default_rng(7).standard_normal((16, 16, 16)), np.eye(4))
     with pytest.raises(DegenerateInput):
         register_rigid(flat, bump)
+
+
+@pytest.mark.parametrize(
+    "dims, factor, level",
+    [((16, 16, 16), 16, (1, 1, 1)), ((16, 16, 16), 64, (1, 1, 1)), ((16, 2, 16), 2, (8, 1, 8)), ((16, 16, 1), 1, (16, 16, 1))],
+    ids=["cube-at-16", "cube-at-64", "two-wide-at-2", "one-slice-at-1"],
+)
+@pytest.mark.parametrize("side", ["fixed", "moving"])
+def test_one_voxel_pyramid_level_rejected(dims, factor, level, side):
+    """A pyramid level with an axis of one voxel has no MI sample and no gradient.
+    Each registration rejects it as DegenerateInput, naming the shrink factor and
+    the level's dims. Unchecked, MI kept the identity there and demons raised
+    numpy's ValueError."""
+    rng = np.random.default_rng(3)
+    images = {"fixed": VolumeGrid(rng.standard_normal((16, 16, 16)), np.eye(4))}
+    images["moving"] = images["fixed"].with_data(rng.standard_normal((16, 16, 16)))
+    images[side] = VolumeGrid(rng.standard_normal(dims), np.eye(4))
+    config = RegConfig(shrink_factors=(factor,), linear_iters=(1,), deform_iters=(1,))
+    match = re.escape(f"shrink factor {factor} leaves a {level}")
+    with pytest.raises(DegenerateInput, match=match):
+        register_rigid(images["fixed"], images["moving"], config)
+    with pytest.raises(DegenerateInput, match=match):
+        register_deformable(images["fixed"], images["moving"], config=config)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])

@@ -25,6 +25,7 @@ from scipy.ndimage import map_coordinates
 from .atomic import atomic_open
 from .errors import (
     AllBackground,
+    DataError,
     EmptyBox,
     GeometryMismatch,
     NonInvertibleTransform,
@@ -163,10 +164,10 @@ class LabelScheme:
     def __init__(self, entries):
         self.entries = {}
         for e in entries:
+            if not _is_int(e.code) or e.code < 1:
+                raise GeometryMismatch(f"label code {e.code!r} is not a positive integer (0 is background)")
             if e.code in self.entries:
                 raise GeometryMismatch(f"duplicate label code {e.code}")
-            if e.code == 0:
-                raise GeometryMismatch("code 0 is reserved for background")
             self.entries[e.code] = e
 
     def codes(self):
@@ -195,7 +196,7 @@ class LabelScheme:
     @classmethod
     def _from_rows(cls, rows):
         """Scheme from the dicts to_json writes, one per code."""
-        return cls([LabelEntry(int(r["code"]), r["abbrev"], r["name"], r["hemisphere"]) for r in rows])
+        return cls([LabelEntry(r["code"], r["abbrev"], r["name"], r["hemisphere"]) for r in rows])
 
 
 def default_scheme() -> LabelScheme:
@@ -269,12 +270,16 @@ class CropBox:
     hi: tuple
 
     def __post_init__(self):
-        self.lo = tuple(int(v) for v in self.lo)
-        self.hi = tuple(int(v) for v in self.hi)
+        lo, hi = tuple(self.lo), tuple(self.hi)
+        if any(len(c) != 3 or not all(map(_is_int, c)) for c in (lo, hi)):
+            raise DataError(f"box corners must be three integers each, not {lo}..{hi}")
+        self.lo, self.hi = tuple(map(int, lo)), tuple(map(int, hi))
         if any(a > b for a, b in zip(self.lo, self.hi)):
             raise EmptyBox(f"empty box {self.lo}..{self.hi}")
 
     def clipped(self, dims) -> "CropBox":
+        if any(b < 0 or a > d - 1 for a, b, d in zip(self.lo, self.hi, dims)):
+            raise EmptyBox(f"box {self.lo}..{self.hi} lies outside the lattice {tuple(dims)}")
         lo = tuple(min(max(v, 0), d - 1) for v, d in zip(self.lo, dims))
         hi = tuple(min(max(v, 0), d - 1) for v, d in zip(self.hi, dims))
         return CropBox(lo, hi)

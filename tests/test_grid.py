@@ -233,6 +233,11 @@ def test_crop_full_volume_is_identity():
 def test_empty_box_rejected():
     with pytest.raises(EmptyBox):
         CropBox((5, 0, 0), (2, 5, 5))
+    # a box wholly outside the lattice clips to nothing, not to the corner voxel nearest it
+    for lo, hi in [((100, 100, 100), (200, 200, 200)), ((0, -9, 0), (5, -1, 5)), ((0, 0, 8), (5, 5, 9))]:
+        with pytest.raises(EmptyBox, match="outside"):
+            CropBox(lo, hi).clipped((8, 8, 8))
+    assert CropBox((-3, 7, 0), (0, 20, 7)).clipped((8, 8, 8)) == CropBox((0, 7, 0), (0, 7, 7))
 
 
 def test_uncrop_inverts_crop():
@@ -334,6 +339,11 @@ def test_label_scheme_rules():
         LabelScheme([LabelEntry(1, "A", "a", "right"), LabelEntry(1, "B", "b", "left")])
     with pytest.raises(GeometryMismatch):
         LabelScheme([LabelEntry(0, "BG", "background", "")])
+    # a code is a positive integer: -1 made a second "-1" row in volumes.csv, 7.5 read as 7, true as 1
+    for code in (-1, 7.5, 7.0, True, "7"):
+        with pytest.raises(GeometryMismatch, match="positive integer"):
+            LabelScheme([LabelEntry(code, "A", "a", "right")])
+    assert LabelScheme([LabelEntry(np.int16(7), "A", "a", "right")]).codes() == [7]
 
 
 def test_default_scheme_structure():

@@ -687,6 +687,18 @@ def _drop_first_abbrev(path):
     path.write_text(json.dumps(rows))
 
 
+def _set_cropbox_lo(path, lo):
+    box = json.loads(path.read_text())
+    box["lo"] = lo
+    path.write_text(json.dumps(box))
+
+
+def _add_scheme_row(path, code):
+    rows = json.loads(path.read_text())
+    rows.append({"code": code, "abbrev": "X", "name": "extra", "hemisphere": ""})
+    path.write_text(json.dumps(rows))
+
+
 def _add_unknown_label(path):
     labels = imgio.read_volume(str(path), as_labels=True)
     data = labels.data.copy()
@@ -716,7 +728,15 @@ BROKEN_LIBRARY = {
     "cropbox-not-json": (lambda lib: (lib / "cropbox.json").write_text("{lo: [0"), "DataError"),
     "cropbox-without-lo": (lambda lib: (lib / "cropbox.json").write_text("{}"), "DataError"),
     "cropbox-is-a-directory": (lambda lib: (lib / "cropbox.json").unlink() or (lib / "cropbox.json").mkdir(), "DataError"),
+    "cropbox-two-entries": (lambda lib: _set_cropbox_lo(lib / "cropbox.json", [3, 1]), "DataError"),
+    "cropbox-four-entries": (lambda lib: _set_cropbox_lo(lib / "cropbox.json", [3, 1, 7, 0]), "DataError"),
+    "cropbox-fractional": (lambda lib: _set_cropbox_lo(lib / "cropbox.json", [3, 1.7, 7]), "DataError"),
+    "cropbox-bool": (lambda lib: _set_cropbox_lo(lib / "cropbox.json", [3, True, 7]), "DataError"),
+    "cropbox-outside-the-template": (
+        lambda lib: (lib / "cropbox.json").write_text(json.dumps({"lo": [100] * 3, "hi": [200] * 3})), "EmptyBox"
+    ),
     "scheme-row-without-abbrev": (lambda lib: _drop_first_abbrev(lib / "scheme.json"), "DataError"),
+    "scheme-negative-code": (lambda lib: _add_scheme_row(lib / "scheme.json", -1), "GeometryMismatch"),
     "prior-label-not-in-scheme": (
         lambda lib: _add_unknown_label(lib / "priors" / "prior01" / "labels.nii.gz"), "GeometryMismatch"
     ),
@@ -725,8 +745,9 @@ BROKEN_LIBRARY = {
 
 @pytest.mark.parametrize("case", BROKEN_LIBRARY)
 def test_segment_broken_library_exits_2(tmp_path, capsys, warp_free, case):
-    """A library whose cropbox.json or scheme.json is missing or malformed, or
-    whose prior labels hold a code its scheme lacks, is a data error, not a traceback."""
+    """A library whose cropbox.json or scheme.json is missing or malformed, whose crop
+    box misses the template, or whose prior labels hold a code its scheme lacks, is a
+    data error, not a traceback."""
     breaker, error = BROKEN_LIBRARY[case]
     lib = tmp_path / "atlas"
     shutil.copytree(warp_free["atlas"], lib)

@@ -8,6 +8,7 @@ evaluation metrics with paired statistics.
 __version__ = "0.1.0"
 
 from .grid import (  # noqa: F401
+    AffineTransform,
     CropBox,
     Geometry,
     LabelScheme,
@@ -20,7 +21,6 @@ from .grid import (  # noqa: F401
 )
 from .imgio import read_field, read_volume, write_field, write_volume  # noqa: F401
 from .register import (  # noqa: F401
-    AffineTransform,
     DeformationField,
     RegConfig,
     compose_fields,

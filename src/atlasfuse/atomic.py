@@ -4,7 +4,9 @@ Every file the package writes goes through :func:`atomic_open`: the content
 is written to a temporary file in the destination's directory and moved onto
 the destination with ``os.replace`` only once it is complete. A failed or
 interrupted write therefore leaves either the previous file or none, never a
-truncated one, and never touches other files in the directory.
+truncated one, and never touches other files in the directory. An OSError
+from opening, writing or replacing the file, or from :func:`make_dirs`, is an
+IoFailure.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import contextlib
 import os
 import uuid
+
+from .errors import IoFailure
 
 
 @contextlib.contextmanager
@@ -24,7 +28,17 @@ def atomic_open(path, mode="w", **kwargs):
         with open(tmp, mode.replace("w", "x"), **kwargs) as f:
             yield f
         os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
+    except BaseException as e:
+        with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(e, OSError):
+            raise IoFailure(f"cannot write {path}: {e}") from e
         raise
+
+
+def make_dirs(path):
+    """``os.makedirs(path, exist_ok=True)``, raising IoFailure for a directory it cannot make."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise IoFailure(f"cannot make directory {path}: {e}") from e

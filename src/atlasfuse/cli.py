@@ -12,6 +12,7 @@ import os
 import sys
 
 from . import __version__, imgio
+from .atomic import make_dirs
 from .errors import AtlasFuseError, NumericalError, UsageError
 from .metrics import DEFAULT_COMPARISONS, METRICS
 from .phantom import PhantomSpec, WarpSpec, derive_atlases, make_subject, synthesized_base
@@ -81,7 +82,7 @@ def cmd_phantom(args):
         warp_spec=WarpSpec(seed=args.seed + 99991, max_displacement_mm=args.max_warp_mm),
     )
     sdir = os.path.join(args.out_dir, "subject")
-    os.makedirs(sdir, exist_ok=True)
+    make_dirs(sdir)
     imgio.write_volume(subj_int, os.path.join(sdir, "intensity.nii.gz"))
     imgio.write_volume(subj_truth, os.path.join(sdir, "truth_labels.nii.gz"))
     imgio.write_field(subj_warp, os.path.join(sdir, "truth_warp.nii.gz"))

@@ -69,18 +69,17 @@ class JlfParams:
 
 
 def majority_vote(warped_labels) -> LabelVolume:
-    """Per-voxel most frequent code; ties go to the lowest code (0 competes)."""
+    """Per-voxel most frequent code: JLF's vote with unit weights, so ties go to the lowest code (0 competes)."""
     if not warped_labels:
         raise EmptyAtlasList("need at least one atlas labelmap")
     require_common_grid(*warped_labels)
     stack = np.stack([lv.data for lv in warped_labels], axis=0)
-    codes = np.unique(stack)
-    counts = np.zeros((len(codes),) + stack.shape[1:], dtype=np.int32)
-    for ci, code in enumerate(codes):
-        counts[ci] = (stack == code).sum(axis=0)
-    # argmax returns the first (lowest-code) maximum because codes is sorted
-    winner = codes[np.argmax(counts, axis=0)]
-    return warped_labels[0].with_data(winner.astype(np.int32))
+    out = stack[0].copy()
+    disagree = np.any(stack != stack[0], axis=0)
+    if disagree.any():
+        votes = stack[:, disagree].T
+        out[disagree] = _weighted_vote(np.ones(votes.shape), votes)
+    return warped_labels[0].with_data(out)
 
 
 def jlf_weights(diffs, beta=2.0, epsilon_scale=0.1, absolute_epsilon=None):

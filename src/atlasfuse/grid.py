@@ -40,35 +40,53 @@ def _is_int(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _linear_parts(matrix):
-    """What _map needs of a 4x4 affine: its 3x3 block transposed, as a
-    C-contiguous copy and as a view, and its shift."""
-    block_t = matrix[:3, :3].T
-    return np.ascontiguousarray(block_t), block_t, matrix[:3, 3]
+class AffineTransform:
+    """Affine 4x4 point map, world->world or a lattice's index->world; matrix is a read-only copy."""
 
+    def __init__(self, matrix):
+        self.matrix = np.array(matrix, dtype=float)
+        if self.matrix.shape != (4, 4):
+            raise NonInvertibleTransform("transform matrix must be 4x4")
+        if not np.allclose(self.matrix[3], [0, 0, 0, 1], atol=1e-12):
+            raise NonInvertibleTransform("last row must be (0,0,0,1)")
+        if abs(np.linalg.det(self.matrix[:3, :3])) <= _DET_EPS:
+            raise NonInvertibleTransform("singular transform")
+        self.matrix.flags.writeable = False
+        self._block_t = (np.ascontiguousarray(self.matrix[:3, :3].T), self.matrix[:3, :3].T)
 
-def _map(pts, parts):
-    """(N, 3) points through an affine split by _linear_parts: bit for bit pts @ A[:3, :3].T + A[:3, 3].
+    @classmethod
+    def identity(cls):
+        return cls(np.eye(4))
 
-    numpy multiplies two or more points by gemm, which gives the same bits
-    for either layout of the block and runs about 3x faster on the
-    contiguous one; a single point goes through gemv, whose summation
-    order follows the layout, so it keeps the view. tests/test_grid.py
-    checks both cases against the plain expression.
-    """
-    contiguous, view, shift = parts
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    out = pts @ (contiguous if len(pts) > 1 else view)
-    out += shift
-    return out
+    def map_points(self, pts):
+        """(N, 3) points through the map: bit for bit pts @ A[:3, :3].T + A[:3, 3].
+
+        numpy multiplies two or more points by gemm, which gives the same bits
+        for either layout of the block and runs about 3x faster on the
+        contiguous one; a single point goes through gemv, whose summation
+        order follows the layout, so it keeps the view. tests/test_grid.py
+        checks both cases against the plain expression.
+        """
+        contiguous, view = self._block_t
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        out = pts @ (contiguous if len(pts) > 1 else view)
+        out += self.matrix[:3, 3]
+        return out
+
+    def inverse(self):
+        return AffineTransform(np.linalg.inv(self.matrix))
+
+    def compose(self, other):
+        """self after other: (self @ other)(x) = self(other(x))."""
+        return AffineTransform(self.matrix @ other.matrix)
 
 
 @dataclass(frozen=True)
 class Geometry:
     """Lattice description: voxel counts and the index->world affine (mm).
 
-    The affine is a read-only copy of the one passed in, so the point maps a
-    lattice prepares when it is made, and the grid it shares, cannot go stale.
+    Its point maps are the AffineTransform of the affine and that transform's
+    inverse, and ``affine`` is its read-only matrix: neither map can go stale.
     """
 
     dims: tuple
@@ -76,17 +94,13 @@ class Geometry:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        affine = np.array(self.affine, dtype=float)
-        affine.flags.writeable = False
-        object.__setattr__(self, "affine", affine)
         if len(self.dims) != 3 or any(d < 1 for d in self.dims):
             raise GeometryMismatch(f"bad dims {self.dims}")
-        if self.affine.shape != (4, 4):
+        if np.shape(self.affine) != (4, 4):
             raise GeometryMismatch("affine must be 4x4")
-        if abs(np.linalg.det(self.affine[:3, :3])) <= _DET_EPS:
-            raise NonInvertibleTransform("affine 3x3 block is singular")
-        object.__setattr__(self, "_to_world", _linear_parts(affine))
-        object.__setattr__(self, "_to_index", _linear_parts(np.linalg.inv(affine)))
+        object.__setattr__(self, "_to_world", AffineTransform(self.affine))
+        object.__setattr__(self, "affine", self._to_world.matrix)
+        object.__setattr__(self, "_to_index", self._to_world.inverse())
 
     @property
     def spacing(self) -> np.ndarray:
@@ -99,10 +113,10 @@ class Geometry:
 
     def index_to_world(self, idx: np.ndarray) -> np.ndarray:
         """Map (N, 3) voxel indices to (N, 3) world mm."""
-        return _map(idx, self._to_world)
+        return self._to_world.map_points(idx)
 
     def world_to_index(self, pts: np.ndarray) -> np.ndarray:
-        return _map(pts, self._to_index)
+        return self._to_index.map_points(pts)
 
     def grid_world(self) -> np.ndarray:
         """World coordinates of every voxel center, shape (nvox, 3), C order, read-only.
@@ -311,7 +325,7 @@ def resample(source, target_geometry: Geometry, transform=None):
     """Resample onto target_geometry; transform maps target world -> source world.
 
     transform may be None (identity), an AffineTransform, or a DeformationField
-    (both from atlasfuse.register). The source's type fixes the interpolation:
+    (from atlasfuse.register). The source's type fixes the interpolation:
     trilinear for a VolumeGrid, nearest neighbour for a LabelVolume.
     """
     pts = target_geometry.grid_world()

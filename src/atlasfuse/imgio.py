@@ -257,18 +257,14 @@ def _base_header(geometry, datatype_code, bitpix, ndim, intent=0):
 
 def _write_blob(path, hdr, data_f_order_bytes):
     blob = hdr.tobytes() + b"\x00" * (VOX_OFFSET - HEADER_SIZE) + data_f_order_bytes
-    try:
-        if str(path).endswith(".gz"):
-            # fixed mtime and no embedded filename keep gzip output
-            # byte-reproducible regardless of path or wall clock
-            with atomic_open(path, "wb") as raw:
-                with gzip.GzipFile(fileobj=raw, mode="wb", filename="", mtime=0) as f:
-                    f.write(blob)
-        else:
-            with atomic_open(path, "wb") as f:
-                f.write(blob)
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    if str(path).endswith(".gz"):
+        # fixed mtime and no embedded filename keep gzip output
+        # byte-reproducible regardless of path or wall clock
+        with atomic_open(path, "wb") as raw, gzip.GzipFile(fileobj=raw, mode="wb", filename="", mtime=0) as f:
+            f.write(blob)
+    else:
+        with atomic_open(path, "wb") as f:
+            f.write(blob)
 
 
 def write_volume(volume, path):

@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, field
 
 from . import imgio
-from .atomic import atomic_open
+from .atomic import atomic_open, make_dirs
 from .errors import DataError, MissingFile
 from .grid import CropBox, LabelScheme, LabelVolume, VolumeGrid
 
@@ -56,14 +56,14 @@ class AtlasLibrary:
     priors: list = field(default_factory=list)
 
     def save(self, out_dir):
-        os.makedirs(out_dir, exist_ok=True)
+        make_dirs(out_dir)
         imgio.write_volume(self.template, template_path(out_dir))
         with atomic_open(os.path.join(out_dir, "cropbox.json")) as f:
             json.dump(self.crop_box.to_dict(), f, indent=2)
         self.scheme.to_json(os.path.join(out_dir, "scheme.json"))
         for p in self.priors:
             pdir = os.path.join(out_dir, "priors", p.id)
-            os.makedirs(pdir, exist_ok=True)
+            make_dirs(pdir)
             imgio.write_volume(p.intensity, os.path.join(pdir, "intensity.nii.gz"))
             imgio.write_volume(p.labels, os.path.join(pdir, "labels.nii.gz"))
             if p.warp_to_template is not None:

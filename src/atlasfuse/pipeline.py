@@ -20,10 +20,10 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, imgio
-from .atomic import atomic_open
+from .atomic import atomic_open, make_dirs
 from .errors import GeometryMismatch, InsufficientSubjects, RowMismatch, UsageError
 from .fusion import JlfParams, joint_label_fusion, majority_vote
-from .grid import CropBox, crop, default_scheme, resample, uncrop
+from .grid import AffineTransform, CropBox, crop, default_scheme, resample, uncrop
 from .library import AtlasLibrary, template_path
 from .metrics import (
     DEFAULT_COMPARISONS,
@@ -37,7 +37,6 @@ from .metrics import (
     write_volumes_csv,
 )
 from .register import (
-    AffineTransform,
     RegConfig,
     compose_fields,
     invert_field,
@@ -132,13 +131,14 @@ def _register_input(input_vol, lib, t_crop, config, true_warp_path):
         rigid, fwd = AffineTransform.identity(), imgio.read_field(true_warp_path)
     else:
         rigid, fwd = register_rigid(input_vol, lib.template, config), None
-    w_input = rigid.inverse().map_points(lib.template.geometry.index_to_world(lib.crop_box.corners()))
+    to_input = rigid.inverse()
+    w_input = to_input.map_points(lib.template.geometry.index_to_world(lib.crop_box.corners()))
     idx = input_vol.geometry.world_to_index(w_input)
     in_box = CropBox(np.floor(idx.min(axis=0)).astype(int), np.ceil(idx.max(axis=0)).astype(int))
     in_box = in_box.clipped(input_vol.dims)
     in_crop = crop(input_vol, in_box)
     if fwd is None:
-        fwd = register_deformable(t_crop, in_crop, rigid.inverse(), config)
+        fwd = register_deformable(t_crop, in_crop, to_input, config)
     return in_box, in_crop, fwd
 
 
@@ -194,7 +194,7 @@ def run_segment(
         seg_crop = joint_label_fusion(in_crop, warped_ints, warped_labels, jparams)
 
     seg_full = uncrop(seg_crop, in_box, input_vol.geometry)
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     seg_path = os.path.join(out_dir, "segmentation.nii.gz")
     imgio.write_volume(seg_full, seg_path)
 
@@ -248,7 +248,7 @@ def run_eval(
     elif not seg_a.geometry.close_to(seg_b.geometry):
         raise GeometryMismatch("labelmap grids differ; pass --align with intensity volumes")
     report = build_report(seg_a, seg_b, scheme, aggregate_hemispheres)
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     csv_path = os.path.join(out_dir, "metrics.csv")
     json_path = os.path.join(out_dir, "metrics.json")
     report.to_csv(csv_path, subject_id=subject_id)

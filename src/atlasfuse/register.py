@@ -27,36 +27,7 @@ from .errors import (
     NoOverlap,
     NonInvertibleTransform,
 )
-from .grid import Geometry, LabelVolume, VolumeGrid, _is_int, _linear_parts, _map, resample
-
-
-class AffineTransform:
-    """Homogeneous world->world transform; matrix is a read-only copy of the one passed in."""
-
-    def __init__(self, matrix):
-        self.matrix = np.array(matrix, dtype=float)
-        if self.matrix.shape != (4, 4):
-            raise NonInvertibleTransform("transform matrix must be 4x4")
-        if not np.allclose(self.matrix[3], [0, 0, 0, 1], atol=1e-12):
-            raise NonInvertibleTransform("last row must be (0,0,0,1)")
-        if abs(np.linalg.det(self.matrix[:3, :3])) < 1e-12:
-            raise NonInvertibleTransform("singular transform")
-        self.matrix.flags.writeable = False
-        self._parts = _linear_parts(self.matrix)
-
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(4))
-
-    def map_points(self, pts):
-        return _map(pts, self._parts)
-
-    def inverse(self):
-        return AffineTransform(np.linalg.inv(self.matrix))
-
-    def compose(self, other):
-        """self after other: (self @ other)(x) = self(other(x))."""
-        return AffineTransform(self.matrix @ other.matrix)
+from .grid import AffineTransform, Geometry, LabelVolume, VolumeGrid, _is_int, resample
 
 
 class DeformationField:

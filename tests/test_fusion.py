@@ -60,6 +60,30 @@ def test_mv_errors():
         majority_vote([a, b])
 
 
+def _reference_majority_vote(warped_labels):
+    """Per voxel, each code's count over the whole stack; argmax takes the first, lowest, code."""
+    stack = np.stack([lv.data for lv in warped_labels], axis=0)
+    codes = np.unique(stack)
+    counts = np.zeros((len(codes),) + stack.shape[1:], dtype=np.int32)
+    for ci, code in enumerate(codes):
+        counts[ci] = (stack == code).sum(axis=0)
+    return codes[np.argmax(counts, axis=0)]
+
+
+def test_mv_matches_counting_every_code():
+    """On random stacks of 1-7 atlases, dense or sparse disagreement, code 0 included."""
+    rng = np.random.default_rng(70)
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        codes = rng.choice([0, 1, 2, 5, 101, 112], size=int(rng.integers(1, 5)), replace=False)
+        base = rng.choice(codes, size=(5, 6, 7))
+        flip = rng.random()  # the share of voxels where an atlas departs from the base
+        labs = [_lab(np.where(rng.random(base.shape) < flip, rng.choice(codes, size=base.shape), base)) for _ in range(n)]
+        out = majority_vote(labs)
+        assert out.data.dtype == np.int32
+        assert np.array_equal(out.data, _reference_majority_vote(labs))
+
+
 def test_jlf_weights_orthogonal_errors_split_evenly():
     # D1=(1,0), D2=(0,1), beta=2: M = I, so w = (0.5, 0.5)
     w = jlf_weights([[1.0, 0.0], [0.0, 1.0]], beta=2.0, absolute_epsilon=1e-6)

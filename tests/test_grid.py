@@ -13,6 +13,7 @@ from atlasfuse.errors import (
     NonInvertibleTransform,
 )
 from atlasfuse.grid import (
+    AffineTransform,
     CropBox,
     Geometry,
     LabelEntry,
@@ -25,7 +26,6 @@ from atlasfuse.grid import (
     resample,
     uncrop,
 )
-from atlasfuse.register import AffineTransform
 
 
 def _translation(t):
@@ -39,6 +39,11 @@ def test_geometry_validation():
         Geometry((0, 4, 4), np.eye(4))
     with pytest.raises(NonInvertibleTransform):
         Geometry((4, 4, 4), np.zeros((4, 4)))
+    # a projective last row: index (1, 2, 3) would map to world (4, 2, 3) and back to (-2, 2, 3)
+    projective = np.eye(4)
+    projective[3, 0], projective[0, 3] = 0.5, 3.0
+    with pytest.raises(NonInvertibleTransform):
+        Geometry((4, 4, 4), projective)
 
 
 def test_index_world_inverse_roundtrip():

@@ -653,6 +653,46 @@ def test_cli_stats_bad_metrics_csv_exits_2(tmp_path, capsys, case):
     assert not out_csv.exists()
 
 
+def _stats_args(d, out):
+    for name in ("a.csv", "b.csv"):
+        (d / name).write_text(_STATS_HEADER + "s0,1,X,0.9\ns1,1,X,0.8\n")
+    return ["stats", "--csv-a", str(d / "a.csv"), "--csv-b", str(d / "b.csv"), "--out", str(out)]
+
+
+def _eval_args(d, env):
+    seg = str(d / "seg.nii.gz")
+    imgio.write_volume(env["truth"], seg)
+    return ["eval", "--seg-a", seg, "--seg-b", seg, "--out-dir", str(d / "afile")]
+
+
+# case: the command line, given a directory that holds a file "afile" and no "nodir"
+WRITE_FAILURES = {
+    "stats-out-in-a-missing-directory": lambda d, env: _stats_args(d, d / "nodir" / "s.csv"),
+    "stats-out-under-a-file": lambda d, env: _stats_args(d, d / "afile" / "s.csv"),
+    "eval-out-dir-is-a-file": _eval_args,
+    "segment-out-dir-is-a-file": lambda d, env: [
+        "segment", "--input", env["input"], "--atlas", env["atlas"], "--out-dir", str(d / "afile"),
+        "--fusion", "mv", "--true-warp", env["warp"],
+    ],
+    "phantom-out-dir-is-a-file": lambda d, env: ["phantom", "--out-dir", str(d / "afile"), "--n-atlases", "1"],
+}
+
+
+@pytest.mark.parametrize("case", WRITE_FAILURES)
+def test_cli_failed_write_exits_2(tmp_path, capsys, warp_free, case):
+    """An output the command cannot write is an IoFailure: one JSON line, no traceback,
+    no temporary file left, and the file in the way untouched."""
+    (tmp_path / "afile").write_text("keep")
+    args = WRITE_FAILURES[case](tmp_path, warp_free)
+    capsys.readouterr()
+    assert main(args) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "IoFailure"
+    assert (tmp_path / "afile").read_text() == "keep"
+    assert not (tmp_path / "nodir").exists()
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 def test_stats_empty_cell_is_a_missing_value(tmp_path):
     """An empty metric cell drops that subject's pair; the other pairs are tested."""
     (tmp_path / "a.csv").write_text(_STATS_HEADER + "s0,1,X,0.9\ns1,1,X,\ns2,1,X,0.7\ns3,1,X,0.6\n")

@@ -32,6 +32,7 @@ from .errors import (
 )
 
 _DET_EPS = 1e-12
+_ROW_ATOL, _ROW_RTOL = 1e-12, 1e-5  # how far a transform's last row may be from (0, 0, 0, 1)
 _AFFINE_ATOL = 1e-5  # two lattices are the same if their affines agree to this
 
 
@@ -47,7 +48,10 @@ class AffineTransform:
         self.matrix = np.array(matrix, dtype=float)
         if self.matrix.shape != (4, 4):
             raise NonInvertibleTransform("transform matrix must be 4x4")
-        if not np.allclose(self.matrix[3], [0, 0, 0, 1], atol=1e-12):
+        # the rule of np.allclose(row, (0, 0, 0, 1), atol=_ROW_ATOL, rtol=_ROW_RTOL)
+        # on Python floats, a quarter of its cost; NaN fails every comparison
+        *zeros, one = self.matrix[3].tolist()
+        if not (all(abs(v) <= _ROW_ATOL for v in zeros) and abs(one - 1.0) <= _ROW_ATOL + _ROW_RTOL):
             raise NonInvertibleTransform("last row must be (0,0,0,1)")
         if abs(np.linalg.det(self.matrix[:3, :3])) <= _DET_EPS:
             raise NonInvertibleTransform("singular transform")

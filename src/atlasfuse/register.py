@@ -6,7 +6,11 @@ Deformation fields live on the fixed-image lattice and store mm
 displacements; the mapped point is x + u(x).
 
 Rigid/affine stages optimize 32-bin mutual information with a
-coordinate-wise adaptive-step search over a shrink pyramid. The deformable
+coordinate-wise adaptive-step search over a shrink pyramid. Each level
+scores the metric on at most 16 samples per joint-histogram cell, as
+sample-based MI estimators size their sample set to the histogram (Mattes et
+al., IEEE TMI 2003): above that, the fixed lattice's voxel samples are taken
+at the least flat stride that fits. The deformable
 stage is single-direction diffeomorphic-demons-style iteration driven by
 local normalized cross-correlation forces, with Gaussian regularization of
 both the update and the accumulated field: each pyramid level takes a fixed
@@ -155,7 +159,7 @@ def warp_labels(labels: LabelVolume, transform, target_geometry: Geometry) -> La
 
 # The fixed registration recipe; only the pyramid is configurable (RegConfig).
 _MI_BINS = 32
-_MAX_METRIC_SAMPLES = 50000
+_MAX_METRIC_SAMPLES = 16 * _MI_BINS**2  # 16 samples per joint-histogram cell
 _CC_RADIUS = 2  # LNCC window half-width, voxels
 _SIGMA_UPDATE = 1.0  # smoothing of each demons update, voxels
 _SIGMA_TOTAL = 0.5  # smoothing of the accumulated field, voxels

@@ -103,6 +103,45 @@ def test_lattice_and_transform_keep_their_own_matrix():
     assert all(np.array_equal(a, b) for a, b in zip(maps(), before))
 
 
+# (entry of the last row, value, accepted): each zero may be off by 1e-12, the one by
+# 1e-12 + 1e-5, np.allclose(atol=1e-12)'s rule; each boundary has a value on either side
+_LAST_ROWS = [
+    (0, 0.99e-12, True),
+    (0, 1.01e-12, False),
+    (2, -0.99e-12, True),
+    (2, -1.01e-12, False),
+    (3, 1.0 + 1.00000005e-5, True),
+    (3, 1.0 + 1.00000015e-5, False),
+    (3, 1.0 - 1.00000005e-5, True),
+    (3, 1.0 - 1.00000015e-5, False),
+    (1, np.nan, False),
+    (3, np.nan, False),
+    (3, np.inf, False),
+]
+
+
+@pytest.mark.parametrize("entry, value, accepted", _LAST_ROWS)
+def test_transform_last_row_tolerance(entry, value, accepted):
+    m = np.eye(4)
+    m[3, entry] = value
+    assert accepted == np.allclose(m[3], (0, 0, 0, 1), atol=1e-12)
+    if accepted:
+        AffineTransform(m)
+    else:
+        with pytest.raises(NonInvertibleTransform):
+            AffineTransform(m)
+
+
+@pytest.mark.parametrize("scale, accepted", [(1.01e-12, True), (0.99e-12, False)])
+def test_transform_determinant_floor(scale, accepted):
+    m = np.diag([scale, 1.0, 1.0, 1.0])
+    if accepted:
+        AffineTransform(m)
+    else:
+        with pytest.raises(NonInvertibleTransform):
+            AffineTransform(m)
+
+
 def test_lattice_arrays_are_read_only():
     geom, transform = Geometry((3, 4, 5), np.eye(4)), AffineTransform(np.eye(4))
     for arr in (geom.affine, transform.matrix, geom.grid_world()):

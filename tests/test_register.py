@@ -609,6 +609,34 @@ def _mi_pair(seed):
     return fixed, moving
 
 
+def test_mi_samples_at_most_sixteen_per_histogram_cell(monkeypatch):
+    """Each level scores its fixed lattice's jittered voxel samples in flat order: all of
+    them under 16 per joint-histogram cell, above that every stride-th with the least
+    stride that fits."""
+    built = []
+
+    class Recording(_MiCost):
+        def __init__(self, fixed, *args):
+            super().__init__(fixed, *args)
+            built.append((fixed.geometry, self))
+
+    monkeypatch.setattr(register, "_MiCost", Recording)
+    rng = np.random.default_rng(0)
+    fixed = VolumeGrid(gaussian_filter(rng.standard_normal((32, 32, 32)), 2.0), np.eye(4))
+    register_rigid(fixed, fixed, RegConfig(shrink_factors=(2, 1), linear_iters=(0, 0), deform_iters=(0, 0)))
+    cap = 16 * register._MI_BINS**2
+    assert [geom.dims for geom, _ in built] == [(16, 16, 16), (32, 32, 32)]
+    for (geom, cost), stride in zip(built, (1, 2)):
+        idx = geom.world_to_index(cost.pts) - _MiCost._JITTER
+        assert np.allclose(idx, np.rint(idx), atol=1e-9)
+        lattice = tuple(d - 1 for d in geom.dims)
+        flat = np.ravel_multi_index(tuple(np.rint(idx).astype(np.int64).T), lattice)
+        assert np.array_equal(flat, np.arange(0, np.prod(lattice), stride))
+        assert len(flat) <= cap
+        if stride > 1:  # the next smaller stride would not fit
+            assert len(range(0, np.prod(lattice), stride - 1)) > cap
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mi_cost_matches_gather_reference(seed):
     fixed, moving = _mi_pair(seed)

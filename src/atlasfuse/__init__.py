@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 from .grid import (  # noqa: F401
     AffineTransform,
     CropBox,
+    DeformationField,
     Geometry,
     LabelScheme,
     LabelVolume,
@@ -21,7 +22,6 @@ from .grid import (  # noqa: F401
 )
 from .imgio import read_field, read_volume, write_field, write_volume  # noqa: F401
 from .register import (  # noqa: F401
-    DeformationField,
     RegConfig,
     compose_fields,
     invert_field,

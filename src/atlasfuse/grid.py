@@ -1,4 +1,5 @@
-"""Voxel-grid types, interpolation, resampling and cropping.
+"""Lattice types (geometry, affine maps, images, deformation fields),
+interpolation, resampling and cropping.
 
 Conventions used throughout the toolkit:
 
@@ -32,7 +33,6 @@ from .errors import (
 )
 
 _DET_EPS = 1e-12
-_ROW_ATOL, _ROW_RTOL = 1e-12, 1e-5  # how far a transform's last row may be from (0, 0, 0, 1)
 _AFFINE_ATOL = 1e-5  # two lattices are the same if their affines agree to this
 
 
@@ -42,17 +42,22 @@ def _is_int(v):
 
 
 class AffineTransform:
-    """Affine 4x4 point map, world->world or a lattice's index->world; matrix is a read-only copy."""
+    """Affine 4x4 point map, world->world or a lattice's index->world; matrix is a read-only copy.
+
+    The one rule for every affine the package builds or reads: the last row is
+    exactly (0, 0, 0, 1), the 3x4 part is finite and |det| > _DET_EPS. The
+    inverse and any composite of valid transforms keep that last row exactly.
+    """
 
     def __init__(self, matrix):
         self.matrix = np.array(matrix, dtype=float)
         if self.matrix.shape != (4, 4):
             raise NonInvertibleTransform("transform matrix must be 4x4")
-        # the rule of np.allclose(row, (0, 0, 0, 1), atol=_ROW_ATOL, rtol=_ROW_RTOL)
-        # on Python floats, a quarter of its cost; NaN fails every comparison
-        *zeros, one = self.matrix[3].tolist()
-        if not (all(abs(v) <= _ROW_ATOL for v in zeros) and abs(one - 1.0) <= _ROW_ATOL + _ROW_RTOL):
+        if self.matrix[3].tolist() != [0.0, 0.0, 0.0, 1.0]:  # NaN fails the comparison
             raise NonInvertibleTransform("last row must be (0,0,0,1)")
+        # before the determinant, which warns on a NaN or inf
+        if not np.isfinite(self.matrix[:3]).all():
+            raise NonInvertibleTransform("transform is not finite")
         if abs(np.linalg.det(self.matrix[:3, :3])) <= _DET_EPS:
             raise NonInvertibleTransform("singular transform")
         self.matrix.flags.writeable = False
@@ -234,18 +239,6 @@ class _Image:
         self.data = data
         self.geometry = Geometry(data.shape, affine)
 
-    @property
-    def dims(self):
-        return self.geometry.dims
-
-    @property
-    def spacing(self):
-        return self.geometry.spacing
-
-    @property
-    def affine(self):
-        return self.geometry.affine
-
     def sample(self, world_pts):
         """Values at (N, 3) world points, in the data's dtype; out-of-bounds reads as 0."""
         idx = self.geometry.world_to_index(world_pts)
@@ -278,6 +271,59 @@ class LabelVolume(_Image):
         super().__init__(data.astype(np.int32), affine)
         if np.any(self.data < 0):
             raise GeometryMismatch("negative label codes")
+
+
+class DeformationField:
+    """Per-voxel mm displacement on a fixed-image lattice (pull-back)."""
+
+    def __init__(self, geometry: Geometry, disp):
+        self.geometry = geometry
+        self.disp = np.asarray(disp, dtype=np.float64)
+        if self.disp.shape != geometry.dims + (3,):
+            raise NonInvertibleTransform(
+                f"field shape {self.disp.shape} does not match geometry {geometry.dims}"
+            )
+        if not np.all(np.isfinite(self.disp)):
+            raise NonInvertibleTransform("non-finite displacement components")
+
+    @classmethod
+    def zero(cls, geometry: Geometry):
+        return cls(geometry, np.zeros(geometry.dims + (3,)))
+
+    def sample_disp(self, world_pts):
+        """Trilinear displacement at world points; outside the lattice reads 0."""
+        return self._sample_index(self.geometry.world_to_index(world_pts))
+
+    def _sample_index(self, idx):
+        """Trilinear displacement at (N, 3) voxel indices; outside the lattice reads 0."""
+        out = np.empty((idx.shape[0], 3))
+        for a in range(3):
+            out[:, a] = map_coordinates(
+                self.disp[..., a], idx.T, order=1, mode="constant", cval=0.0
+            )
+        return out
+
+    def map_points(self, pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return pts + self.sample_disp(pts)
+
+    def max_norm(self) -> float:
+        return float(np.sqrt((self.disp**2).sum(axis=-1)).max())
+
+    def jacobian_determinants(self) -> np.ndarray:
+        """det(I + du/dx_world) per voxel via central differences."""
+        ainv = np.linalg.inv(self.geometry.affine[:3, :3])
+        jac = np.empty(self.geometry.dims + (3, 3))
+        for a in range(3):
+            gi = np.gradient(self.disp[..., a], axis=(0, 1, 2))
+            dvox = np.stack(gi, axis=-1)  # du_a / d(index)
+            jac[..., a, :] = dvox @ ainv
+        jac += np.eye(3)
+        return np.linalg.det(jac)
+
+    def positive_jacobian_fraction(self) -> float:
+        det = self.jacobian_determinants()
+        return float(np.mean(det > 0.0))
 
 
 @dataclass
@@ -328,9 +374,9 @@ def require_common_grid(*volumes):
 def resample(source, target_geometry: Geometry, transform=None):
     """Resample onto target_geometry; transform maps target world -> source world.
 
-    transform may be None (identity), an AffineTransform, or a DeformationField
-    (from atlasfuse.register). The source's type fixes the interpolation:
-    trilinear for a VolumeGrid, nearest neighbour for a LabelVolume.
+    transform may be None (identity), an AffineTransform, or a DeformationField.
+    The source's type fixes the interpolation: trilinear for a VolumeGrid,
+    nearest neighbour for a LabelVolume.
     """
     pts = target_geometry.grid_world()
     if transform is not None:
@@ -340,10 +386,10 @@ def resample(source, target_geometry: Geometry, transform=None):
 
 def crop(volume, box: CropBox):
     """Extract a sub-volume; world coordinates of retained voxels are unchanged."""
-    box = box.clipped(volume.dims)
+    box = box.clipped(volume.geometry.dims)
     lo, hi = box.lo, box.hi
     sub = volume.data[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1]
-    affine = volume.affine.copy()
+    affine = volume.geometry.affine.copy()
     affine[:3, 3] = volume.geometry.index_to_world([lo])[0]
     return volume.with_data(sub.copy(), Geometry(box.extent, affine))
 
@@ -351,7 +397,7 @@ def crop(volume, box: CropBox):
 def uncrop(sub, box: CropBox, full_geometry: Geometry):
     """Paste a cropped volume back into the full frame at its box position, zero elsewhere."""
     box = box.clipped(full_geometry.dims)
-    if tuple(sub.dims) != box.extent:
+    if sub.geometry.dims != box.extent:
         raise GeometryMismatch("sub-volume extent does not match box")
     out = np.zeros(full_geometry.dims, dtype=sub.data.dtype)
     lo, hi = box.lo, box.hi
@@ -366,4 +412,4 @@ def label_bounding_box(labels: LabelVolume, margin: int = 0) -> CropBox:
         raise AllBackground("labelmap has no nonzero voxels")
     lo = [int(a.min()) - margin for a in nz]
     hi = [int(a.max()) + margin for a in nz]
-    return CropBox(lo, hi).clipped(labels.dims)
+    return CropBox(lo, hi).clipped(labels.geometry.dims)

@@ -23,10 +23,10 @@ from .errors import (
     IoFailure,
     LabelOverflow,
     MissingFile,
+    NonInvertibleTransform,
     UnsupportedDatatype,
 )
-from .grid import _DET_EPS, Geometry, LabelVolume, VolumeGrid
-from .register import DeformationField
+from .grid import DeformationField, Geometry, LabelVolume, VolumeGrid
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -191,9 +191,11 @@ def _read_raw(path, expect_vector=False):
     data = data.reshape(shape[::-1]).transpose(range(len(shape))[::-1])
     affine = _affine_from_header(hdr)
     # a malformed header is bad data (exit 2), not a numerical failure
-    if not np.all(np.isfinite(affine)) or abs(np.linalg.det(affine[:3, :3])) <= _DET_EPS:
-        raise GeometryMismatch(f"header affine is singular or not finite: {affine[:3, :3].tolist()}")
-    return hdr, data, affine, code
+    try:
+        geometry = Geometry(shape[:3], affine)
+    except NonInvertibleTransform as e:
+        raise GeometryMismatch(f"{path}: header affine {affine[:3].tolist()}: {e}") from e
+    return hdr, data, geometry, code
 
 
 def read_volume(path, as_labels=False, scheme=None):
@@ -201,13 +203,13 @@ def read_volume(path, as_labels=False, scheme=None):
 
     With a scheme, a nonzero code the scheme lacks is a GeometryMismatch.
     """
-    hdr, data, affine, code = _read_raw(path)
+    hdr, data, geometry, code = _read_raw(path)
     if as_labels:
         if code not in _INT_CODES:
             raise UnsupportedDatatype(
                 f"labelmap requires an integer datatype, file has code {code}"
             )
-        labels = LabelVolume(np.ascontiguousarray(data).astype(np.int32), affine)
+        labels = LabelVolume(np.ascontiguousarray(data).astype(np.int32), geometry.affine)
         if scheme is not None:
             unknown = set(np.unique(labels.data).tolist()) - {0, *scheme.codes()}
             if unknown:
@@ -221,7 +223,7 @@ def read_volume(path, as_labels=False, scheme=None):
             raise BadMagic(f"scl_inter {inter} is not finite")
         if not (slope == 1.0 and inter == 0.0):
             out = out * slope + inter
-    return VolumeGrid(out, affine)
+    return VolumeGrid(out, geometry.affine)
 
 
 def _base_header(geometry, datatype_code, bitpix, ndim, intent=0):
@@ -291,7 +293,9 @@ def write_field(field, path):
 
 
 def read_field(path):
-    """Read a 5D vector NIfTI into a DeformationField."""
-    hdr, data, affine, _code = _read_raw(path, expect_vector=True)
-    disp = np.ascontiguousarray(data).astype(np.float64)
-    return DeformationField(Geometry(disp.shape[:3], affine), disp)
+    """Read a 5D vector NIfTI into a DeformationField; a non-finite displacement is bad data."""
+    _hdr, data, geometry, _code = _read_raw(path, expect_vector=True)
+    try:
+        return DeformationField(geometry, np.ascontiguousarray(data).astype(np.float64))
+    except NonInvertibleTransform as e:
+        raise GeometryMismatch(f"{path}: {e}") from e

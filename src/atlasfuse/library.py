@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from . import imgio
 from .atomic import atomic_open, make_dirs
 from .errors import DataError, MissingFile
-from .grid import CropBox, LabelScheme, LabelVolume, VolumeGrid
+from .grid import CropBox, DeformationField, LabelScheme, LabelVolume, VolumeGrid
 
 
 def template_path(atlas_dir):
@@ -45,7 +45,7 @@ class AtlasPrior:
     id: str
     intensity: VolumeGrid
     labels: LabelVolume
-    warp_to_template: object | None = None  # DeformationField
+    warp_to_template: DeformationField | None = None
 
 
 @dataclass

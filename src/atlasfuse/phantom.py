@@ -11,9 +11,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import JacobianViolation, OverlappingNuclei, GeometryMismatch
-from .grid import Geometry, LabelVolume, VolumeGrid, default_scheme, label_bounding_box
+from .grid import DeformationField, Geometry, LabelVolume, VolumeGrid, default_scheme, label_bounding_box
 from .library import AtlasLibrary, AtlasPrior
-from .register import DeformationField, _smooth_field, invert_field
+from .register import _smooth_field, invert_field
 from . import grid as _grid
 from .synth import synthesize_wmn
 

@@ -135,7 +135,7 @@ def _register_input(input_vol, lib, t_crop, config, true_warp_path):
     w_input = to_input.map_points(lib.template.geometry.index_to_world(lib.crop_box.corners()))
     idx = input_vol.geometry.world_to_index(w_input)
     in_box = CropBox(np.floor(idx.min(axis=0)).astype(int), np.ceil(idx.max(axis=0)).astype(int))
-    in_box = in_box.clipped(input_vol.dims)
+    in_box = in_box.clipped(input_vol.geometry.dims)
     in_crop = crop(input_vol, in_box)
     if fwd is None:
         fwd = register_deformable(t_crop, in_crop, to_input, config)

@@ -24,67 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates, uniform_filter
 
-from .errors import (
-    DegenerateInput,
-    FoldingDetected,
-    InversionDiverged,
-    NoOverlap,
-    NonInvertibleTransform,
-)
-from .grid import AffineTransform, Geometry, LabelVolume, VolumeGrid, _is_int, resample
-
-
-class DeformationField:
-    """Per-voxel mm displacement on a fixed-image lattice (pull-back)."""
-
-    def __init__(self, geometry: Geometry, disp):
-        self.geometry = geometry
-        self.disp = np.asarray(disp, dtype=np.float64)
-        if self.disp.shape != geometry.dims + (3,):
-            raise NonInvertibleTransform(
-                f"field shape {self.disp.shape} does not match geometry {geometry.dims}"
-            )
-        if not np.all(np.isfinite(self.disp)):
-            raise NonInvertibleTransform("non-finite displacement components")
-
-    @classmethod
-    def zero(cls, geometry: Geometry):
-        return cls(geometry, np.zeros(geometry.dims + (3,)))
-
-    def sample_disp(self, world_pts):
-        """Trilinear displacement at world points; outside the lattice reads 0."""
-        return self._sample_index(self.geometry.world_to_index(world_pts))
-
-    def _sample_index(self, idx):
-        """Trilinear displacement at (N, 3) voxel indices; outside the lattice reads 0."""
-        out = np.empty((idx.shape[0], 3))
-        for a in range(3):
-            out[:, a] = map_coordinates(
-                self.disp[..., a], idx.T, order=1, mode="constant", cval=0.0
-            )
-        return out
-
-    def map_points(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return pts + self.sample_disp(pts)
-
-    def max_norm(self) -> float:
-        return float(np.sqrt((self.disp**2).sum(axis=-1)).max())
-
-    def jacobian_determinants(self) -> np.ndarray:
-        """det(I + du/dx_world) per voxel via central differences."""
-        ainv = np.linalg.inv(self.geometry.affine[:3, :3])
-        jac = np.empty(self.geometry.dims + (3, 3))
-        for a in range(3):
-            gi = np.gradient(self.disp[..., a], axis=(0, 1, 2))
-            dvox = np.stack(gi, axis=-1)  # du_a / d(index)
-            jac[..., a, :] = dvox @ ainv
-        jac += np.eye(3)
-        return np.linalg.det(jac)
-
-    def positive_jacobian_fraction(self) -> float:
-        det = self.jacobian_determinants()
-        return float(np.mean(det > 0.0))
+from .errors import DegenerateInput, FoldingDetected, InversionDiverged, NoOverlap
+from .grid import AffineTransform, DeformationField, Geometry, LabelVolume, VolumeGrid, _is_int, resample
 
 
 def field_from_affine(transform: AffineTransform, geometry: Geometry) -> DeformationField:
@@ -196,13 +137,13 @@ class RegConfig:
 
 def _downsample(vol: VolumeGrid, factor: int) -> VolumeGrid:
     """The image at one pyramid level; an axis of one voxel leaves no gradient or MI sample there."""
-    dims = tuple(int(np.ceil(d / factor)) for d in vol.dims)
+    dims = tuple(int(np.ceil(d / factor)) for d in vol.geometry.dims)
     if min(dims) < 2:
         raise DegenerateInput(f"shrink factor {factor} leaves a {dims} lattice; each axis needs 2 voxels or more")
     if factor == 1:
         return vol
     sm = gaussian_filter(vol.data, sigma=factor / 2.0, mode="nearest")
-    affine = vol.affine.copy()
+    affine = vol.geometry.affine.copy()
     affine[:3, :3] *= factor
     geom = Geometry(dims, affine)
     return resample(vol.with_data(sm), geom)
@@ -375,7 +316,7 @@ def _register_linear(fixed, moving, config, n_params, p0=None):
         m_l = _downsample(moving, factor)
         cost = _MiCost(f_l, m_l, _MI_BINS, _MAX_METRIC_SAMPLES)
         steps = np.empty(n_params)
-        steps[:3] = float(np.max(f_l.spacing))
+        steps[:3] = float(np.max(f_l.geometry.spacing))
         steps[3:6] = 0.04 * factor
         if n_params == 12:
             steps[6:9] = 0.03 * factor

@@ -2,7 +2,7 @@
 
 Signal model: s = M0 * (1 - 2 * exp(-TI / T1)), T1 and TI in ms. The zero
 crossing sits at T1 = TI / ln 2; voxels at or below the T1 floor (failed
-fits, background) map to 0.
+fits, background) or with a non-finite M0 map to 0.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ def synthesize_wmn(t1_map: VolumeGrid, params: SynthesisParams | None = None) ->
         m0 = params.m0.data
     else:
         m0 = 1.0
-    valid = t1 > T1_FLOOR_MS
+    valid = (t1 > T1_FLOOR_MS) & np.isfinite(m0)
     out = np.zeros_like(t1, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore"):
-        s = m0 * (1.0 - 2.0 * np.exp(-params.ti_ms / np.where(valid, t1, 1.0)))
+        s = np.where(valid, m0, 0.0) * (1.0 - 2.0 * np.exp(-params.ti_ms / np.where(valid, t1, 1.0)))
     out[valid] = s[valid] if params.signed else np.abs(s)[valid]
     return t1_map.with_data(out)

@@ -1,5 +1,6 @@
 """Geometry, resampling, cropping and label-scheme behavior."""
 
+import warnings
 import weakref
 
 import numpy as np
@@ -103,16 +104,17 @@ def test_lattice_and_transform_keep_their_own_matrix():
     assert all(np.array_equal(a, b) for a, b in zip(maps(), before))
 
 
-# (entry of the last row, value, accepted): each zero may be off by 1e-12, the one by
-# 1e-12 + 1e-5, np.allclose(atol=1e-12)'s rule; each boundary has a value on either side
+# (entry of the last row, value, accepted): the row must be exactly (0, 0, 0, 1), so a
+# value 1e-12 off a zero or 1e-5 off the one is rejected, as are NaN and inf
 _LAST_ROWS = [
-    (0, 0.99e-12, True),
+    (0, -0.0, True),
+    (0, 0.99e-12, False),
     (0, 1.01e-12, False),
-    (2, -0.99e-12, True),
+    (2, -0.99e-12, False),
     (2, -1.01e-12, False),
-    (3, 1.0 + 1.00000005e-5, True),
+    (3, 1.0 + 1.00000005e-5, False),
     (3, 1.0 + 1.00000015e-5, False),
-    (3, 1.0 - 1.00000005e-5, True),
+    (3, 1.0 - 1.00000005e-5, False),
     (3, 1.0 - 1.00000015e-5, False),
     (1, np.nan, False),
     (3, np.nan, False),
@@ -124,12 +126,35 @@ _LAST_ROWS = [
 def test_transform_last_row_tolerance(entry, value, accepted):
     m = np.eye(4)
     m[3, entry] = value
-    assert accepted == np.allclose(m[3], (0, 0, 0, 1), atol=1e-12)
     if accepted:
         AffineTransform(m)
     else:
         with pytest.raises(NonInvertibleTransform):
             AffineTransform(m)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 1), (1, 1), (2, 3)], ids=["block", "diagonal", "translation"])
+def test_transform_rejects_non_finite_entries_without_a_warning(entry, value):
+    """A NaN or inf anywhere in the 3x4 part raises before the determinant is taken."""
+    m = np.eye(4)
+    m[entry] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonInvertibleTransform, match="not finite"):
+            AffineTransform(m)
+
+
+def test_inverse_and_compose_of_valid_transforms_are_valid():
+    """The last row of inv(A) and of A @ B stays exactly (0, 0, 0, 1), so neither raises."""
+    rng = np.random.default_rng(23)
+    for _ in range(10_000):
+        m = np.eye(4)
+        m[:3] = rng.standard_normal((3, 4)) * 10.0 ** rng.uniform(-2.0, 2.0, (3, 1))
+        t = AffineTransform(m)
+        inv = t.inverse()
+        t.compose(inv)
+        inv.compose(t)
 
 
 @pytest.mark.parametrize("scale, accepted", [(1.01e-12, True), (0.99e-12, False)])
@@ -140,6 +165,12 @@ def test_transform_determinant_floor(scale, accepted):
     else:
         with pytest.raises(NonInvertibleTransform):
             AffineTransform(m)
+
+
+def test_images_reach_their_lattice_only_through_geometry():
+    for image in (VolumeGrid(np.zeros((2, 3, 4)), np.eye(4)), LabelVolume(np.zeros((2, 3, 4), dtype=int), np.eye(4))):
+        assert image.geometry.dims == (2, 3, 4)
+        assert not any(hasattr(image, name) for name in ("dims", "spacing", "affine"))
 
 
 def test_lattice_arrays_are_read_only():
@@ -183,7 +214,7 @@ def test_sampling_at_voxel_centers_reproduces_values():
     rng = np.random.default_rng(1)
     vol = VolumeGrid(rng.standard_normal((6, 6, 6)), np.eye(4))
     pts = vol.geometry.grid_world()
-    vals = vol.sample(pts).reshape(vol.dims)
+    vals = vol.sample(pts).reshape(vol.geometry.dims)
     assert np.allclose(vals, vol.data, atol=1e-6)
 
 
@@ -247,11 +278,11 @@ def test_crop_preserves_world_coordinates():
     vol = VolumeGrid(rng.standard_normal((16, 16, 16)), aff)
     box = CropBox((2, 3, 4), (10, 12, 9))
     sub = crop(vol, box)
-    assert sub.dims == box.extent
+    assert sub.geometry.dims == box.extent
     # retained voxels keep their world positions (affine comparison, 1e-9 mm)
     expect = vol.geometry.index_to_world([box.lo])[0]
-    assert np.allclose(sub.affine[:3, 3], expect, atol=1e-9)
-    assert np.allclose(sub.affine[:3, :3], vol.affine[:3, :3], atol=1e-9)
+    assert np.allclose(sub.geometry.affine[:3, 3], expect, atol=1e-9)
+    assert np.allclose(sub.geometry.affine[:3, :3], vol.geometry.affine[:3, :3], atol=1e-9)
     # sampling any retained world point matches the original
     pts = vol.geometry.index_to_world(
         rng.uniform(low=box.lo, high=box.hi, size=(40, 3))
@@ -262,7 +293,7 @@ def test_crop_preserves_world_coordinates():
 def test_crop_single_voxel_world_position():
     vol = VolumeGrid(np.zeros((8, 8, 8)), np.eye(4))
     sub = crop(vol, CropBox((2, 3, 4), (2, 3, 4)))
-    assert sub.dims == (1, 1, 1)
+    assert sub.geometry.dims == (1, 1, 1)
     assert np.allclose(sub.geometry.index_to_world([(0, 0, 0)])[0], (2.0, 3.0, 4.0))
 
 
@@ -271,7 +302,7 @@ def test_crop_full_volume_is_identity():
     vol = VolumeGrid(rng.standard_normal((6, 6, 6)), np.eye(4))
     sub = crop(vol, CropBox((0, 0, 0), (5, 5, 5)))
     assert np.array_equal(sub.data, vol.data)
-    assert np.allclose(sub.affine, vol.affine)
+    assert np.allclose(sub.geometry.affine, vol.geometry.affine)
 
 
 def test_empty_box_rejected():
@@ -290,7 +321,7 @@ def test_uncrop_inverts_crop():
     box = CropBox((1, 2, 3), (8, 7, 9))
     sub = crop(lab, box)
     full = uncrop(sub, box, lab.geometry)
-    inside = np.zeros(lab.dims, dtype=bool)
+    inside = np.zeros(lab.geometry.dims, dtype=bool)
     inside[1:9, 2:8, 3:10] = True
     assert np.array_equal(full.data[inside], lab.data[inside])
     assert np.all(full.data[~inside] == 0)
@@ -320,7 +351,7 @@ def test_crop_uncrop_resample_keep_type_dtype_and_scheme(kind):
     full = uncrop(sub, box, img.geometry)
     target = Geometry((6, 5, 4), np.diag([1.5, 1.5, 1.5, 1.0]))
     moved = resample(full, target, _translation((0.3, -0.7, 1.2)))
-    assert sub.dims == box.extent
+    assert sub.geometry.dims == box.extent
     assert full.geometry.close_to(img.geometry)
     assert moved.geometry.close_to(target)
     for out in (sub, full, moved):
@@ -332,7 +363,7 @@ def test_crop_uncrop_resample_keep_type_dtype_and_scheme(kind):
 def test_with_data_checks_the_lattice(kind):
     img = _image(kind)
     small = np.zeros((4, 4, 4), dtype=img.data.dtype)
-    other = Geometry((4, 4, 4), img.affine)
+    other = Geometry((4, 4, 4), img.geometry.affine)
     with pytest.raises(GeometryMismatch):
         img.with_data(small)
     with pytest.raises(GeometryMismatch):

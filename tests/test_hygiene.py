@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used in it, every
 import sits at module level, every function, class and method the package
 defines is referenced, every defaulted parameter and dataclass field is set by
-some call, and every parameter is read by its function."""
+some call, every parameter is read by its function, and the lattice and I/O
+modules import nothing from the layers above them."""
 
 import ast
 import pathlib
@@ -59,6 +60,50 @@ def test_module_imports_only_at_module_level(path):
 def test_function_level_import_scan_catches_a_nested_import():
     source = "import os\ndef f():\n    from json import dumps\n    return dumps, os\n"
     assert function_level_imports(source) == ["f (line 3)"]
+
+
+# the lattice, image I/O and contrast layer: it stands without registration,
+# fusion, metrics or the pipeline
+LOWER_LAYER = {"errors", "atomic", "grid", "synth", "imgio"}
+
+
+def package_imports(source: str, modules: set) -> set:
+    """Package modules that source imports from, relative or absolute; a name
+    imported from the package itself that is no module counts as __init__."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            parts = [a.name.split(".") for a in node.names if a.name.split(".")[0] == "atlasfuse"]
+            found.update(p[1] if len(p) > 1 else "__init__" for p in parts)
+        elif isinstance(node, ast.ImportFrom):
+            path = node.module.split(".") if node.module else []
+            if node.level == 0:
+                if not path or path[0] != "atlasfuse":
+                    continue
+                path = path[1:]
+            if path:
+                found.add(path[0])
+            else:
+                found.update(a.name if a.name in modules else "__init__" for a in node.names)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(LOWER_LAYER))
+def test_lower_layer_imports_only_from_itself(name):
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    assert package_imports((PACKAGE / f"{name}.py").read_text(), modules) - LOWER_LAYER == set()
+
+
+def test_package_import_scan_reads_relative_and_absolute_forms():
+    source = (
+        "import numpy\n"
+        "from .grid import Geometry\n"
+        "from . import imgio, __version__\n"
+        "import atlasfuse.register\n"
+        "from atlasfuse.fusion import majority_vote\n"
+    )
+    modules = {"grid", "imgio", "register", "fusion"}
+    assert package_imports(source, modules) == {"grid", "imgio", "__init__", "register", "fusion"}
 
 
 def unreferenced_definitions(defining: dict, referencing: list) -> list:

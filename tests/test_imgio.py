@@ -18,7 +18,7 @@ from atlasfuse.errors import (
     MissingFile,
     UnsupportedDatatype,
 )
-from atlasfuse.grid import LabelEntry, LabelScheme, LabelVolume, VolumeGrid
+from atlasfuse.grid import DeformationField, Geometry, LabelEntry, LabelScheme, LabelVolume, VolumeGrid
 from atlasfuse.metrics import nucleus_volume
 
 
@@ -45,7 +45,7 @@ def test_scalar_roundtrip_float32_exact(tmp_path):
     imgio.write_volume(vol, path)
     back = imgio.read_volume(path)
     assert np.array_equal(back.data, vol.data.astype(np.float32).astype(np.float64))
-    assert np.allclose(back.affine, vol.affine, atol=1e-5)
+    assert np.allclose(back.geometry.affine, vol.geometry.affine, atol=1e-5)
 
 
 def test_label_roundtrip_bit_exact(tmp_path):
@@ -109,7 +109,7 @@ def test_identity_affine_written_as_identity_sform(tmp_path):
     vol = VolumeGrid(np.zeros((4, 4, 4)), np.eye(4))
     path = str(tmp_path / "v.nii")
     imgio.write_volume(vol, path)
-    assert np.allclose(imgio.read_volume(path).affine, np.eye(4))
+    assert np.allclose(imgio.read_volume(path).geometry.affine, np.eye(4))
 
 
 def test_missing_file():
@@ -293,7 +293,7 @@ def test_big_endian_read(tmp_path):
         f.write(hdr_be.tobytes() + b"\x00" * 4 + data.tobytes())
     back = imgio.read_volume(path_be)
     assert np.array_equal(back.data, vol.data.astype(np.float32).astype(np.float64))
-    assert np.allclose(back.affine, vol.affine, atol=1e-5)
+    assert np.allclose(back.geometry.affine, vol.geometry.affine, atol=1e-5)
 
 
 def test_label_overflow():
@@ -311,9 +311,6 @@ def test_labels_require_integer_datatype(tmp_path):
 
 
 def test_field_roundtrip(tmp_path):
-    from atlasfuse.grid import Geometry
-    from atlasfuse.register import DeformationField
-
     rng = np.random.default_rng(12)
     geom = Geometry((6, 5, 4), np.eye(4))
     f = DeformationField(geom, rng.standard_normal((6, 5, 4, 3)))
@@ -327,6 +324,16 @@ def test_field_roundtrip(tmp_path):
     assert int(hdr["dim"][0]) == 5
     assert int(hdr["dim"][4]) == 1 and int(hdr["dim"][5]) == 3
     assert int(hdr["intent_code"]) == imgio.INTENT_VECTOR
+
+
+def test_field_with_a_non_finite_displacement_is_a_data_error(tmp_path):
+    path = str(tmp_path / "f.nii")
+    imgio.write_field(DeformationField.zero(Geometry((4, 3, 2), np.eye(4))), path)
+    raw = bytearray(open(path, "rb").read())
+    raw[imgio.VOX_OFFSET + 4 : imgio.VOX_OFFSET + 8] = np.float32(np.inf).tobytes()
+    open(path, "wb").write(bytes(raw))
+    with pytest.raises(GeometryMismatch, match="non-finite displacement"):
+        imgio.read_field(path)
 
 
 def test_read_field_rejects_scalar_volume(tmp_path):
@@ -344,8 +351,8 @@ def test_qform_fallback(tmp_path):
     imgio.write_volume(vol, path)
     _patch_header(path, qform_code=1, sform_code=0)
     back = imgio.read_volume(path)
-    assert np.allclose(back.affine[:3, :3], np.diag([2.0, 2.0, 2.0]))
-    assert np.allclose(back.spacing, [2.0, 2.0, 2.0])
+    assert np.allclose(back.geometry.affine[:3, :3], np.diag([2.0, 2.0, 2.0]))
+    assert np.allclose(back.geometry.spacing, [2.0, 2.0, 2.0])
 
 
 def test_spacing_and_volumes_come_from_the_sform_not_pixdim(tmp_path):
@@ -355,7 +362,7 @@ def test_spacing_and_volumes_come_from_the_sform_not_pixdim(tmp_path):
     imgio.write_volume(lab, path)
     _patch_header(path, pixdim=[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     back = imgio.read_volume(path, as_labels=True)
-    assert np.array_equal(back.spacing, [2.0, 2.0, 2.0])
+    assert np.array_equal(back.geometry.spacing, [2.0, 2.0, 2.0])
     assert nucleus_volume(back, 1) == 512.0
 
 
@@ -374,12 +381,12 @@ def _rotated():
 def test_spacing_is_the_affine_column_norms(tmp_path, affine, spacing):
     """In memory, in the written pixdim and read back, spacing is the column norms."""
     vol = VolumeGrid(np.zeros((4, 4, 4)), affine)
-    assert np.allclose(vol.spacing, spacing, rtol=0, atol=1e-12)
+    assert np.allclose(vol.geometry.spacing, spacing, rtol=0, atol=1e-12)
     path = str(tmp_path / "v.nii")
     imgio.write_volume(vol, path)
     hdr = np.frombuffer(open(path, "rb").read(imgio.HEADER_SIZE), dtype=imgio._header_dtype("<"))[0]
     assert np.allclose(hdr["pixdim"][1:4], spacing, rtol=0, atol=1e-6)
-    assert np.allclose(imgio.read_volume(path).spacing, spacing, rtol=0, atol=1e-6)
+    assert np.allclose(imgio.read_volume(path).geometry.spacing, spacing, rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])

@@ -1,6 +1,7 @@
 """End-to-end workflow, output artifacts, and the command-line interface."""
 
 import csv
+import gzip
 import hashlib
 import json
 import os
@@ -249,7 +250,7 @@ def test_segment_displaced_anatomy(tmp_path, off_template_lattice):
     """The 32^3-box subject stored under a header shifted by (7, -5, 4) mm, which
     moves its anatomy off the template, meets criterion 6's Dice tiers."""
     env = off_template_lattice
-    affine = env["subject"].affine.copy()
+    affine = env["subject"].geometry.affine.copy()
     affine[:3, 3] += (7.0, -5.0, 4.0)
     imgio.write_volume(VolumeGrid(env["subject"].data, affine), str(tmp_path / "in.nii.gz"))
     truth = LabelVolume(env["truth"].data, affine)
@@ -693,6 +694,32 @@ def test_cli_failed_write_exits_2(tmp_path, capsys, warp_free, case):
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
+def _with_nan_displacement(src, dst):
+    """Copy a gzipped warp file with its first displacement component set to NaN."""
+    with gzip.open(src, "rb") as f:
+        raw = bytearray(f.read())
+    raw[imgio.VOX_OFFSET : imgio.VOX_OFFSET + 4] = np.float32(np.nan).tobytes()
+    with open(dst, "wb") as f:
+        f.write(gzip.compress(bytes(raw), mtime=0))
+
+
+@pytest.mark.parametrize("where", ["true-warp", "library-warp"])
+def test_cli_segment_warp_with_a_nan_exits_2(tmp_path, capsys, atlas_env, where):
+    """A warp file holding a NaN displacement is bad data, whether it is the
+    --true-warp or a prior's cached warp: one JSON line, exit 2, no outputs."""
+    atlas, warp, out_dir = tmp_path / "atlas", tmp_path / "warp.nii.gz", tmp_path / "out"
+    shutil.copytree(atlas_env["atlas"], atlas)
+    shutil.copy(atlas_env["subject_warp"], warp)
+    bad = warp if where == "true-warp" else atlas / "priors" / "prior00" / "warp_to_template.nii.gz"
+    _with_nan_displacement(bad, bad)
+    args = ["segment", "--input", atlas_env["subject"], "--atlas", str(atlas), "--out-dir", str(out_dir)]
+    capsys.readouterr()
+    assert main(args + ["--fusion", "mv", "--true-warp", str(warp)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "GeometryMismatch"
+    assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+
 def test_stats_empty_cell_is_a_missing_value(tmp_path):
     """An empty metric cell drops that subject's pair; the other pairs are tested."""
     (tmp_path / "a.csv").write_text(_STATS_HEADER + "s0,1,X,0.9\ns1,1,X,\ns2,1,X,0.7\ns3,1,X,0.6\n")
@@ -859,7 +886,7 @@ def test_segment_single_slice_input_exits_2(tmp_path, capsys, warp_free):
     """One slice of the input has no pyramid level with a second voxel along z,
     so it is a data error, not a registration on an empty MI sample."""
     subject = imgio.read_volume(warp_free["input"])
-    affine = subject.affine.copy()
+    affine = subject.geometry.affine.copy()
     affine[:3, 3] += 16 * affine[:3, 2]
     path = str(tmp_path / "slice.nii.gz")
     imgio.write_volume(VolumeGrid(subject.data[:, :, 16:17], affine), path)

@@ -549,10 +549,10 @@ def test_smooth_field_matches_per_component_loop(sigma):
 
 def _moving_index(cost, transform):
     """Moving-image voxel indices of the cost's samples under transform, and their in-bounds mask."""
-    minv = np.linalg.inv(cost.moving.affine)
+    minv = np.linalg.inv(cost.moving.geometry.affine)
     src = cost.pts @ transform.matrix[:3, :3].T + transform.matrix[:3, 3]
     idx = src @ minv[:3, :3].T + minv[:3, 3]
-    return idx, np.all((idx >= 0) & (idx <= np.array(cost.moving.dims, dtype=float) - 1), axis=1)
+    return idx, np.all((idx >= 0) & (idx <= np.array(cost.moving.geometry.dims, dtype=float) - 1), axis=1)
 
 
 def _reference_mi(cost, transform):

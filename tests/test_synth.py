@@ -7,7 +7,7 @@ from atlasfuse import imgio
 from atlasfuse.cli import main
 from atlasfuse.errors import GeometryMismatch, NonPositiveTI
 from atlasfuse.grid import VolumeGrid
-from atlasfuse.synth import SynthesisParams, null_point_t1, synthesize_wmn
+from atlasfuse.synth import DEFAULT_TI_MS, SynthesisParams, null_point_t1, synthesize_wmn
 
 
 def _t1_volume(values):
@@ -116,3 +116,16 @@ def test_cli_non_finite_ti_exits_1_without_output(tmp_path, ti):
     imgio.write_volume(_t1_volume([1500.0, 900.0]), str(t1_path))
     assert main(["synth", "--t1", str(t1_path), "--ti", ti, "--out", str(out_path)]) == 1
     assert not out_path.exists()
+
+
+def test_cli_non_finite_m0_voxel_maps_to_zero(tmp_path):
+    """A NaN or inf M0 voxel is a failed fit, like a T1 at the floor: it maps to 0,
+    and the other voxels keep the signal model."""
+    t1 = _t1_volume([1500.0, 900.0, 1200.0, 1300.0])
+    paths = {name: str(tmp_path / f"{name}.nii.gz") for name in ("t1", "m0", "wmn")}
+    imgio.write_volume(t1, paths["t1"])
+    imgio.write_volume(t1.with_data(np.array([np.nan, np.inf, -np.inf, 2.0]).reshape(-1, 1, 1)), paths["m0"])
+    assert main(["synth", "--t1", paths["t1"], "--m0", paths["m0"], "--out", paths["wmn"]]) == 0
+    out = imgio.read_volume(paths["wmn"]).data.ravel()
+    want = np.float32(2.0 * abs(1.0 - 2.0 * np.exp(-DEFAULT_TI_MS / 1300.0)))
+    assert out.tolist() == [0.0, 0.0, 0.0, want]

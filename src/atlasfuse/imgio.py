@@ -261,8 +261,12 @@ def _write_blob(path, hdr, data_f_order_bytes):
     blob = hdr.tobytes() + b"\x00" * (VOX_OFFSET - HEADER_SIZE) + data_f_order_bytes
     if str(path).endswith(".gz"):
         # fixed mtime and no embedded filename keep gzip output
-        # byte-reproducible regardless of path or wall clock
-        with atomic_open(path, "wb") as raw, gzip.GzipFile(fileobj=raw, mode="wb", filename="", mtime=0) as f:
+        # byte-reproducible regardless of path or wall clock; level 6, the
+        # default of zlib and gzip(1), deflates a field about twice as fast as
+        # level 9 for 0.2% more bytes
+        with atomic_open(path, "wb") as raw, gzip.GzipFile(
+            fileobj=raw, mode="wb", compresslevel=6, filename="", mtime=0
+        ) as f:
             f.write(blob)
     else:
         with atomic_open(path, "wb") as f:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import JacobianViolation, OverlappingNuclei, GeometryMismatch
-from .grid import DeformationField, Geometry, LabelVolume, VolumeGrid, default_scheme, label_bounding_box
+from .grid import DeformationField, Geometry, LabelVolume, VolumeGrid, default_scheme, label_bounding_box, sq_norms
 from .library import AtlasLibrary, AtlasPrior
 from .register import _smooth_field, invert_field
 from . import grid as _grid
@@ -94,15 +94,13 @@ def generate_phantom(spec: PhantomSpec | None = None):
     """Build (t1_map, truth_labels); deterministic for a given seed."""
     spec = spec or PhantomSpec()
     nuclei = spec.nuclei or default_nuclei()
-    geom = Geometry(_DIMS, np.eye(4))
-    world = geom.grid_world()
+    geom = Geometry(_DIMS, np.eye(4))  # index = world mm
+    world = geom.grid_world().reshape(geom.dims + (3,))
 
     t1 = np.zeros(geom.dims)
     labels = np.zeros(geom.dims, dtype=np.int32)
-    head = (
-        ((world - (np.array(geom.dims) - 1) / 2.0) / _HEAD_SEMI_AXES_MM) ** 2
-    ).sum(axis=1) <= 1.0
-    t1.flat[head.nonzero()[0]] = _SURROUND_T1_MS
+    head = sq_norms((world - (np.array(geom.dims) - 1) / 2.0) / _HEAD_SEMI_AXES_MM) <= 1.0
+    t1[head] = _SURROUND_T1_MS
 
     hi = np.array(geom.dims, dtype=float) - 1
     for nuc in nuclei:
@@ -110,12 +108,18 @@ def generate_phantom(spec: PhantomSpec | None = None):
         a = np.asarray(nuc.semi_axes_mm, dtype=float)
         if np.any(c - a < 0) or np.any(c + a > hi):
             raise GeometryMismatch(f"nucleus {nuc.code} ellipsoid exceeds the grid")
-        mask = (((world - c) / a) ** 2).sum(axis=1) <= 1.0
-        mask3 = mask.reshape(geom.dims)
-        if np.any(labels[mask3] != 0):
+        # the ellipsoid test runs on the nucleus's bounding box only, one voxel
+        # wider on each side so that rounding at |x - c| = a drops no voxel;
+        # a semi-axis enters squared, so its sign does not matter
+        r = np.abs(a)
+        lo = np.maximum(np.floor(c - r).astype(int) - 1, 0)
+        up = np.minimum(np.ceil(c + r).astype(int) + 1, hi.astype(int))
+        box = tuple(slice(l, u + 1) for l, u in zip(lo, up))
+        mask = sq_norms((world[box] - c) / a) <= 1.0
+        if np.any(labels[box][mask] != 0):
             raise OverlappingNuclei(f"nucleus {nuc.code} intersects another nucleus")
-        labels[mask3] = nuc.code
-        t1[mask3] = nuc.t1_ms
+        labels[box][mask] = nuc.code
+        t1[box][mask] = nuc.t1_ms
 
     if spec.noise_sigma > 0:
         rng = np.random.default_rng(spec.seed)
@@ -145,8 +149,7 @@ def random_diffeo(spec: WarpSpec, geometry: Geometry) -> DeformationField:
             shape[ax] = n
             w = w * ramp.reshape(shape)
         raw = raw * w[..., None]
-    norms = np.sqrt((raw**2).sum(axis=-1))
-    peak = float(norms.max())
+    peak = float(np.sqrt(sq_norms(raw).max()))
     if peak <= 0:
         return DeformationField.zero(geometry)
     field = DeformationField(geometry, raw * (spec.max_displacement_mm / peak))

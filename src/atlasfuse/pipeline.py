@@ -105,9 +105,11 @@ def _prior_warps(lib, t_crop, config, n_workers):
 
     ``n_workers`` counts threads, the calling one included: above one, uncached
     priors start registering on ``n_workers - 1`` pool threads on entry, and one
-    the pool has not started when it is reached runs on the calling thread. On
-    exit, also on error, unstarted ones are cancelled and the pool is joined.
-    The fields do not depend on ``n_workers``.
+    the pool has not started when it is reached runs on the calling thread.
+    Before the calling thread waits on one the pool is running, it runs the
+    ones the pool has not started, in library order, until that one is done.
+    On exit, also on error, unstarted ones are cancelled and the pool is
+    joined. The fields do not depend on ``n_workers``.
     """
     pool = ThreadPoolExecutor(max_workers=n_workers - 1) if n_workers > 1 else None
     try:
@@ -115,10 +117,23 @@ def _prior_warps(lib, t_crop, config, n_workers):
             pool.submit(_prior_warp, p, t_crop, lib, config) if pool and p.warp_to_template is None else None
             for p in lib.priors
         ]
-        yield (
-            _prior_warp(p, t_crop, lib, config) if fut is None or fut.cancel() else fut.result()
-            for p, fut in zip(lib.priors, futures)
-        )
+
+        ahead = {}  # index -> field the calling thread registered before its turn
+
+        def field(i):
+            if i in ahead:
+                return ahead.pop(i)
+            fut = futures[i]
+            if fut is None or fut.cancel():
+                return _prior_warp(lib.priors[i], t_crop, lib, config)
+            for j in range(i + 1, len(futures)):
+                if fut.done():
+                    break
+                if j not in ahead and futures[j] is not None and futures[j].cancel():
+                    ahead[j] = _prior_warp(lib.priors[j], t_crop, lib, config)
+            return fut.result()
+
+        yield (field(i) for i in range(len(lib.priors)))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

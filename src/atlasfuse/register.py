@@ -25,7 +25,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates, uniform_filter
 
 from .errors import DegenerateInput, FoldingDetected, InversionDiverged, NoOverlap
-from .grid import AffineTransform, DeformationField, Geometry, LabelVolume, VolumeGrid, _is_int, resample
+from .grid import AffineTransform, DeformationField, Geometry, LabelVolume, VolumeGrid, _is_int, resample, sq_norms
 
 
 def field_from_affine(transform: AffineTransform, geometry: Geometry) -> DeformationField:
@@ -80,7 +80,7 @@ def invert_field(field: DeformationField) -> DeformationField:
         inside = geom.contains_index(idx)
         if not inside.any():
             raise InversionDiverged("no voxel's inverse lies inside the lattice")
-        res = float(np.linalg.norm(h + g, axis=1)[inside].max())
+        res = float(np.sqrt(sq_norms(h + g)[inside].max()))
         if res < best_res:
             best, best_res = g, res
         if res < _INVERT_TOL_MM:
@@ -411,7 +411,7 @@ def register_deformable(
         for _ in range(iters):
             warped = m_l.sample(pts + field.disp.reshape(-1, 3)).reshape(geom.dims)
             force = _lncc_force(fixed_terms, warped, _CC_RADIUS, ainv3)
-            peak = float(np.linalg.norm(force, axis=-1).max())
+            peak = float(np.sqrt(sq_norms(force).max()))
             if peak <= 0:
                 break
             update = _smooth_field(force * (step / peak), _SIGMA_UPDATE)

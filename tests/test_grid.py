@@ -26,6 +26,7 @@ from atlasfuse.grid import (
     default_scheme,
     label_bounding_box,
     resample,
+    sq_norms,
     uncrop,
 )
 
@@ -196,6 +197,29 @@ def test_grid_world_is_shared_while_held_and_not_kept():
     del grid
     assert ref() is None
     assert np.array_equal(geom.grid_world().mean(axis=0), center)
+
+
+_TINY = np.finfo(float).smallest_subnormal
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        # magnitudes spread over 16 decades: any other summation order shows
+        np.random.default_rng(3).standard_normal((4096, 3)) * 10.0 ** np.random.default_rng(4).integers(-8, 8, (4096, 1)),
+        np.random.default_rng(5).standard_normal((5, 6, 7, 3)),  # a field's (..., 3) layout
+        np.zeros((4, 3)),
+        np.array([[3.0, 4.0, 0.0], [0.0, -4.0, 3.0], [4.0, 0.0, -3.0], [0.0, 0.0, 5.0]]),  # ties
+        np.array([[_TINY, 0.0, 0.0], [_TINY, -_TINY, _TINY], [5 * _TINY, 0.0, -3 * _TINY]]),  # subnormal
+        np.array([[1e-160, 3e-161, -2e-170], [2e-162, 0.0, 1e-160]]),  # squares underflow
+        np.array([[1e200, 1.0, 0.0], [1.0, 2.0, 3.0]]),  # a square overflows
+        np.array([[-1e155, 1e155, 1e155], [1e154, 0.0, 0.0]]),  # the sum overflows
+    ],
+)
+def test_sq_norms_are_numpys_bits_and_give_the_peak_norm(v):
+    with np.errstate(over="ignore"):  # both sides overflow alike
+        assert np.array_equal(sq_norms(v), (v**2).sum(axis=-1))
+        assert np.sqrt(sq_norms(v).max()) == np.linalg.norm(v, axis=-1).max()
 
 
 def test_voxel_volume():

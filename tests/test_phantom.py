@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from atlasfuse import phantom
 from atlasfuse.errors import GeometryMismatch, JacobianViolation, OverlappingNuclei
-from atlasfuse.grid import Geometry
+from atlasfuse.grid import Geometry, LabelVolume, VolumeGrid
 from atlasfuse.phantom import (
     Nucleus,
     PhantomSpec,
@@ -53,6 +54,85 @@ def test_phantom_nucleus_t1_values():
     for nuc in default_nuclei():
         vals = np.unique(t1.data[truth.data == nuc.code])
         assert vals.size == 1 and vals[0] == nuc.t1_ms
+
+
+def _reference_phantom(spec):
+    """generate_phantom with each nucleus tested against every voxel of the lattice."""
+    nuclei = spec.nuclei or default_nuclei()
+    geom = Geometry(phantom._DIMS, np.eye(4))
+    world = geom.grid_world()
+
+    t1 = np.zeros(geom.dims)
+    labels = np.zeros(geom.dims, dtype=np.int32)
+    head = (((world - (np.array(geom.dims) - 1) / 2.0) / phantom._HEAD_SEMI_AXES_MM) ** 2).sum(axis=1) <= 1.0
+    t1.flat[head.nonzero()[0]] = phantom._SURROUND_T1_MS
+
+    hi = np.array(geom.dims, dtype=float) - 1
+    for nuc in nuclei:
+        c = np.asarray(nuc.center_mm, dtype=float)
+        a = np.asarray(nuc.semi_axes_mm, dtype=float)
+        if np.any(c - a < 0) or np.any(c + a > hi):
+            raise GeometryMismatch(f"nucleus {nuc.code} ellipsoid exceeds the grid")
+        mask = ((((world - c) / a) ** 2).sum(axis=1) <= 1.0).reshape(geom.dims)
+        if np.any(labels[mask] != 0):
+            raise OverlappingNuclei(f"nucleus {nuc.code} intersects another nucleus")
+        labels[mask] = nuc.code
+        t1[mask] = nuc.t1_ms
+
+    if spec.noise_sigma > 0:
+        rng = np.random.default_rng(spec.seed)
+        t1 = np.clip(t1 + rng.standard_normal(t1.shape) * spec.noise_sigma * float(np.ptp(t1)), 0.0, None)
+    return VolumeGrid(t1, geom.affine), LabelVolume(labels, geom.affine)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PhantomSpec(),
+        PhantomSpec(seed=5, noise_sigma=0.02),
+        # extents that touch the lattice exactly: c - a = 0 and c + a = d - 1
+        PhantomSpec(nuclei=[Nucleus(1, (31.5, 31.5, 31.5), (31.5, 31.5, 31.5), 1450.0)]),
+        PhantomSpec(
+            nuclei=[
+                Nucleus(1, (5.0, 6.0, 7.0), (5.0, 6.0, 7.0), 1450.0),
+                Nucleus(2, (58.0, 57.0, 56.0), (5.0, 6.0, 7.0), 1500.0),
+            ]
+        ),
+        # non-integer centre and semi-axes
+        PhantomSpec(nuclei=[Nucleus(3, (20.3, 33.7, 41.15), (4.7, 6.15, 3.3), 1550.0)]),
+        # a semi-axis enters squared: a negative one draws like its magnitude
+        PhantomSpec(nuclei=[Nucleus(4, (30.0, 31.0, 32.0), (-4.5, 3.0, 5.0), 1600.0)]),
+        # bounding boxes that overlap around ellipsoids that do not
+        PhantomSpec(
+            nuclei=[
+                Nucleus(1, (20.0, 20.0, 32.0), (5.0, 5.0, 5.0), 1450.0),
+                Nucleus(2, (28.0, 28.0, 32.0), (5.0, 5.0, 5.0), 1500.0),
+            ]
+        ),
+    ],
+)
+def test_phantom_matches_the_whole_lattice_mask_loop(spec):
+    t1, labels = generate_phantom(spec)
+    want_t1, want_labels = _reference_phantom(spec)
+    assert np.array_equal(t1.data, want_t1.data)
+    assert np.array_equal(labels.data, want_labels.data)
+
+
+@pytest.mark.parametrize(
+    "nuclei, error",
+    [
+        # one shared voxel, at x = 25 on both surfaces
+        ([Nucleus(1, (20.0, 32.0, 32.0), (5.0, 5.0, 5.0), 1450.0), Nucleus(2, (30.0, 32.0, 32.0), (5.0, 5.0, 5.0), 1500.0)],
+         OverlappingNuclei),
+        ([Nucleus(1, (4.999, 32.0, 32.0), (5.0, 5.0, 5.0), 1450.0)], GeometryMismatch),
+        ([Nucleus(1, (32.0, 32.0, 58.001), (5.0, 5.0, 5.0), 1450.0)], GeometryMismatch),
+    ],
+)
+def test_phantom_rejects_what_the_whole_lattice_mask_loop_rejects(nuclei, error):
+    with pytest.raises(error):
+        _reference_phantom(PhantomSpec(nuclei=nuclei))
+    with pytest.raises(error):
+        generate_phantom(PhantomSpec(nuclei=nuclei))
 
 
 def test_overlapping_nuclei_rejected():

@@ -302,6 +302,30 @@ def test_uncached_priors_register_while_the_input_registers(tmp_path, warp_free,
     assert len(rec["started"]) == 1 and not rec["started"][0].is_alive()
 
 
+def test_calling_thread_registers_queued_priors_instead_of_waiting(tmp_path, warp_free, warp_free_serial, monkeypatch):
+    """At two workers the pool's first registration holds until the calling
+    thread has registered a later prior: it must take the queued one rather
+    than wait on the running one. The outputs stay those of one worker."""
+    caller = threading.get_ident()
+    caller_registered = threading.Event()
+    pool_waits = []
+    real_prior_warp = pipeline._prior_warp
+
+    def prior_warp(*args):
+        if threading.get_ident() == caller:
+            caller_registered.set()
+        elif not pool_waits:
+            pool_waits.append(caller_registered.wait(_WAIT_S))
+        return real_prior_warp(*args)
+
+    monkeypatch.setattr(pipeline, "_prior_warp", prior_warp)
+    rec = _trace_threads(monkeypatch, wait_for_prior=True)  # the input waits for the pool to start
+    out = _segment_warp_free(warp_free, tmp_path / "out", 2)
+    assert pool_waits == [True]
+    assert rec["prior_threads"][0] != caller and rec["prior_threads"][1] == caller
+    assert _output_shas(out) == warp_free_serial
+
+
 def test_one_worker_registers_priors_inline_on_the_calling_thread(tmp_path, warp_free, monkeypatch):
     rec = _trace_threads(monkeypatch, wait_for_prior=False)
     _segment_warp_free(warp_free, tmp_path / "out", 1)

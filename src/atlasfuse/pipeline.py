@@ -4,8 +4,10 @@ Segmentation runs in two halves that meet at the template. The library half
 (``_prior_warps``) yields each prior's warp to the template and never reads
 the input. The input half (``_register_input``) aligns the template rigidly,
 transfers its crop box into the input, crops, and registers the cropped pair
-deformably. ``run_segment`` inverts that warp once, warps each prior through
-the template, fuses the labels, and uncrops the result into the input frame.
+deformably, keeping the rigid map and the demons residual psi apart.
+``run_segment`` inverts psi alone and reads it through the rigid map, warps
+each prior through the template, fuses the labels, and uncrops the result
+into the input frame.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def _prior_warp(prior, t_crop, lib, config):
     if prior.warp_to_template is not None:
         return prior.warp_to_template
     p_crop = crop(prior.intensity, lib.crop_box)
-    d = register_deformable(t_crop, p_crop, AffineTransform.identity(), config)
+    d = register_deformable(t_crop, p_crop, config=config)
     return resample_field(d, lib.template.geometry)
 
 
@@ -140,21 +142,22 @@ def _prior_warps(lib, t_crop, config, n_workers):
 
 
 def _register_input(input_vol, lib, t_crop, config, true_warp_path):
-    """Rigid template->input, the crop box transfer and the deformable stage, with a true warp in
-    place of both registrations; returns the input crop box, the cropped input and its warp."""
+    """Rigid input->template, the crop box transfer and the deformable stage, with a true warp in
+    place of both registrations; returns the input crop box, the cropped input, the rigid map
+    and the residual psi on the template crop (the template->input map is rigid^-1(x + psi(x)))."""
     if true_warp_path:
-        rigid, fwd = AffineTransform.identity(), imgio.read_field(true_warp_path)
+        rigid, psi = AffineTransform.identity(), imgio.read_field(true_warp_path)
     else:
-        rigid, fwd = register_rigid(input_vol, lib.template, config), None
+        rigid, psi = register_rigid(input_vol, lib.template, config), None
     to_input = rigid.inverse()
     w_input = to_input.map_points(lib.template.geometry.index_to_world(lib.crop_box.corners()))
     idx = input_vol.geometry.world_to_index(w_input)
     in_box = CropBox(np.floor(idx.min(axis=0)).astype(int), np.ceil(idx.max(axis=0)).astype(int))
     in_box = in_box.clipped(input_vol.geometry.dims)
     in_crop = crop(input_vol, in_box)
-    if fwd is None:
-        fwd = register_deformable(t_crop, in_crop, to_input, config)
-    return in_box, in_crop, fwd
+    if psi is None:
+        psi = register_deformable(t_crop, in_crop, to_input, config)
+    return in_box, in_crop, rigid, psi
 
 
 def run_segment(
@@ -190,11 +193,11 @@ def run_segment(
     t_crop = crop(lib.template, lib.crop_box)
 
     with _prior_warps(lib, t_crop, config, n_workers) as to_template:
-        in_box, in_crop, fwd = _register_input(input_vol, lib, t_crop, config, true_warp_path)
+        in_box, in_crop, rigid, psi = _register_input(input_vol, lib, t_crop, config, true_warp_path)
         # held until fusion: the inverse's resample and each prior's compose and
         # warps share one voxel-centre grid of the input crop (Geometry.grid_world)
         in_grid = in_crop.geometry.grid_world()
-        inv = resample_field(invert_field(fwd), in_crop.geometry)
+        inv = resample_field(invert_field(psi), in_crop.geometry, rigid)
         warped_labels, warped_ints = [], []
         for prior, field in zip(lib.priors, to_template):
             total = compose_fields(inv, field)

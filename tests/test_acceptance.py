@@ -36,7 +36,6 @@ from atlasfuse.register import (
     DeformationField,
     RegConfig,
     compose_fields,
-    field_from_affine,
     invert_field,
     register_affine,
     register_deformable,

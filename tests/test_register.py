@@ -25,7 +25,6 @@ from atlasfuse.register import (
     _params_to_matrix,
     _smooth_field,
     compose_fields,
-    field_from_affine,
     invert_field,
     register_affine,
     register_deformable,
@@ -46,6 +45,19 @@ def _translation(t):
 def _const_field(geometry, t):
     disp = np.broadcast_to(np.asarray(t, dtype=float), geometry.dims + (3,)).copy()
     return DeformationField(geometry, disp)
+
+
+def _affine_field(transform, geometry):
+    """The displacement field of an affine map on a lattice: A(x) - x at each voxel centre."""
+    pts = geometry.grid_world()
+    return DeformationField(geometry, (transform.map_points(pts) - pts).reshape(geometry.dims + (3,)))
+
+
+def _header_shifted(vol, t):
+    """vol's voxels stored under a header translated by t mm: its anatomy moves by t."""
+    affine = vol.geometry.affine.copy()
+    affine[:3, 3] += t
+    return VolumeGrid(vol.data, affine)
 
 
 # --- AffineTransform ---
@@ -90,12 +102,21 @@ def test_field_rejects_non_finite():
         DeformationField(GEOM16, disp)
 
 
-def test_field_from_affine_and_resample_exact_on_lattice():
-    t = _translation((1.25, -0.5, 2.0))
-    f = field_from_affine(t, GEOM16)
-    assert np.allclose(f.disp, (1.25, -0.5, 2.0), atol=1e-12)
+def test_resample_field_exact_on_lattice():
+    f = random_diffeo(WarpSpec(seed=3), GEOM16)
     again = resample_field(f, GEOM16)
     assert np.allclose(again.disp, f.disp, atol=1e-12)
+
+
+def test_resample_field_through_an_affine_reads_at_the_mapped_point():
+    """With an affine A, voxel y holds z + g(z) - y at z = A(y): a constant g under a
+    translation t reads g + t, and under the identity the bits are those without A."""
+    g = _const_field(GEOM16, (0.5, -0.25, 1.0))
+    out = resample_field(g, GEOM16, _translation((1.0, 2.0, -1.0)))
+    # interior only: A(y) leaves the lattice near the rim, where g reads 0
+    assert np.allclose(out.disp[2:13, 1:13, 2:14], (1.5, 1.75, 0.0), atol=1e-12)
+    f = random_diffeo(WarpSpec(seed=3), GEOM16)
+    assert np.array_equal(resample_field(f, GEOM16, AffineTransform.identity()).disp, resample_field(f, GEOM16).disp)
 
 
 # --- compose / invert ---
@@ -184,7 +205,7 @@ def test_invert_linear_field(gain, want_res):
 def test_jacobian_of_affine_field_matches_determinant():
     m = np.eye(4)
     m[:3, :3] = np.diag([1.1, 0.9, 1.05])
-    f = field_from_affine(AffineTransform(m), GEOM16)
+    f = _affine_field(AffineTransform(m), GEOM16)
     det = f.jacobian_determinants()
     # interior voxels see the exact constant Jacobian of the linear map
     assert np.allclose(det[2:-2, 2:-2, 2:-2], 1.1 * 0.9 * 1.05, atol=1e-9)
@@ -223,6 +244,16 @@ def test_affine_self_registration_near_identity(base):
     wmn, _, _ = base
     t = register_affine(wmn, wmn)
     assert np.max(np.abs(t.matrix - np.eye(4))) < 1e-3
+
+
+def test_rigid_recovers_a_large_header_translation(base):
+    """A 25 mm header translation, past the reach of a search from the identity alone,
+    is recovered to within 0.5 mm at every corner of the lattice."""
+    wmn, _, _ = base
+    shift = np.array([25.0, 0.0, 0.0])
+    t = register_rigid(wmn, _header_shifted(wmn, shift))
+    corners = wmn.geometry.world_corners()
+    assert np.abs(t.map_points(corners) - (corners + shift)).max() < 0.5
 
 
 def test_rigid_registration_deterministic(base):
@@ -305,15 +336,26 @@ def test_deformable_self_registration_small(base):
     assert f.positive_jacobian_fraction() == 1.0
 
 
-def test_deformable_zero_iterations_returns_affine_init(base):
+def test_deformable_zero_iterations_returns_zero_residual(base):
     wmn, truth, _ = base
     box = label_bounding_box(truth, margin=5)
     fixed = crop(wmn, box)
     init = _translation((0.8, -0.3, 0.4))
     cfg = RegConfig(deform_iters=(0, 0, 0))
     f = register_deformable(fixed, fixed, init, cfg)
-    expect = field_from_affine(init, fixed.geometry)
-    assert np.array_equal(f.disp, expect.disp)
+    assert f.geometry == fixed.geometry
+    assert np.array_equal(f.disp, np.zeros(fixed.geometry.dims + (3,)))
+
+
+def test_deformable_returns_the_residual_past_a_translation_init(base):
+    """The moving image is the fixed one moved 25 mm by its header and init is that
+    translation, so the map init(x + psi(x)) needs no residual: psi stays near zero."""
+    wmn, truth, _ = base
+    fixed = crop(wmn, label_bounding_box(truth, margin=5))
+    shift = (25.0, -15.0, 12.0)
+    psi = register_deformable(fixed, _header_shifted(fixed, shift), _translation(shift))
+    assert psi.geometry == fixed.geometry
+    assert psi.max_norm() < 0.2
 
 
 @pytest.mark.parametrize(
@@ -732,7 +774,8 @@ def _reference_lncc_force(fixed_data, warped_data, radius, ainv3):
 
 
 def _reference_demons(fixed, moving, init, config, levels):
-    """register_deformable's loop: deform_iters one-voxel steps per level.
+    """register_deformable's loop: deform_iters one-voxel steps per level on a
+    residual that starts at zero, with moving sampled at init(x + psi(x)).
 
     Appends each pyramid level's exit to levels: "iters" once it has taken
     all its steps, "zero" on a zero force.
@@ -742,13 +785,14 @@ def _reference_demons(fixed, moving, init, config, levels):
         f_l = register._downsample(fixed, factor)
         m_l = register._downsample(moving, factor)
         geom = f_l.geometry
-        field = field_from_affine(init, geom) if field is None else resample_field(field, geom)
+        zero = DeformationField(geom, np.zeros(geom.dims + (3,)))
+        field = zero if field is None else resample_field(field, geom)
         ainv3 = np.linalg.inv(geom.affine[:3, :3])
         pts = geom.grid_world()
         step = register._STEP_LENGTH * float(np.min(geom.spacing))
         stop = "iters"
         for _ in range(iters):
-            warped = m_l.sample(pts + field.disp.reshape(-1, 3)).reshape(geom.dims)
+            warped = m_l.sample(init.map_points(pts + field.disp.reshape(-1, 3))).reshape(geom.dims)
             force = _reference_lncc_force(f_l.data, warped, register._CC_RADIUS, ainv3)
             peak = float(np.linalg.norm(force, axis=-1).max())
             if peak <= 0:

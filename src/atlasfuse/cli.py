@@ -117,8 +117,8 @@ def build_parser():
         "--workers",
         type=int,
         default=1,
-        help="threads in all: priors without a cached warp are registered on N-1 extra threads "
-        "while the input is registered; the result is the same, and with every warp cached N changes nothing",
+        help="registration threads: one pool of N threads registers the input and each prior without "
+        "a cached warp while the main thread assembles; 1 starts no thread, the result is the same for every N",
     )
     pg.set_defaults(func=cmd_segment)
 

@@ -314,10 +314,6 @@ class DeformationField:
             )
         return out
 
-    def map_points(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return pts + self.sample_disp(pts)
-
     def max_norm(self) -> float:
         return float(np.sqrt(sq_norms(self.disp).max()))
 
@@ -385,15 +381,16 @@ def require_common_grid(*volumes):
 def resample(source, target_geometry: Geometry, transform=None):
     """Resample onto target_geometry; transform maps target world -> source world.
 
-    transform may be None (identity), an AffineTransform, or a DeformationField.
-    A field on target_geometry's own lattice moves each voxel centre by its
-    stored displacement: sampling it there would read 0 at rim voxels whose
-    centres map to indices just outside the lattice. The source's type fixes
-    the interpolation: trilinear for a VolumeGrid, nearest neighbour for a
-    LabelVolume.
+    transform may be None (identity), an AffineTransform, or a DeformationField
+    on target_geometry's own lattice, which moves each voxel centre by its
+    stored displacement; a field on another lattice is a GeometryMismatch. The
+    source's type fixes the interpolation: trilinear for a VolumeGrid, nearest
+    neighbour for a LabelVolume.
     """
     pts = target_geometry.grid_world()
-    if isinstance(transform, DeformationField) and transform.geometry.close_to(target_geometry):
+    if isinstance(transform, DeformationField):
+        if not transform.geometry.close_to(target_geometry):
+            raise GeometryMismatch("a deformation field resamples only onto its own lattice")
         pts = pts + transform.disp.reshape(-1, 3)
     elif transform is not None:
         pts = transform.map_points(pts)

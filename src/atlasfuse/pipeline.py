@@ -1,13 +1,15 @@
 """End-to-end segmentation workflow and evaluation entry points.
 
 Segmentation runs in two halves that meet at the template. The library half
-(``_prior_warps``) yields each prior's warp to the template and never reads
-the input. The input half (``_register_input``) aligns the template rigidly,
+(``_prior_warp``) gives each prior's warp to the template and never reads the
+input. The input half (``_register_input``) aligns the template rigidly,
 transfers its crop box into the input, crops, and registers the cropped pair
 deformably, keeping the rigid map and the demons residual psi apart.
-``run_segment`` inverts psi alone and reads it through the rigid map, warps
-each prior through the template, fuses the labels, and uncrops the result
-into the input frame.
+``_registrations`` runs both halves: inline with one worker, else as jobs on
+one pool of ``n_workers`` threads, the input's first. ``run_segment`` inverts
+psi alone and reads it through the rigid map, warps each prior through the
+template as its field arrives, fuses the labels, and uncrops the result into
+the input frame.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import __version__, imgio
 from .atomic import atomic_open, make_dirs
 from .errors import GeometryMismatch, InsufficientSubjects, RowMismatch, UsageError
 from .fusion import JlfParams, joint_label_fusion, majority_vote
-from .grid import AffineTransform, CropBox, crop, default_scheme, resample, uncrop
+from .grid import AffineTransform, CropBox, _is_int, crop, default_scheme, resample, uncrop
 from .library import AtlasLibrary, template_path
 from .metrics import (
     DEFAULT_COMPARISONS,
@@ -101,46 +103,6 @@ def _prior_warp(prior, t_crop, lib, config):
     return resample_field(d, lib.template.geometry)
 
 
-@contextmanager
-def _prior_warps(lib, t_crop, config, n_workers):
-    """Yield an iterator over each prior's field to the template, in library order.
-
-    ``n_workers`` counts threads, the calling one included: above one, uncached
-    priors start registering on ``n_workers - 1`` pool threads on entry, and one
-    the pool has not started when it is reached runs on the calling thread.
-    Before the calling thread waits on one the pool is running, it runs the
-    ones the pool has not started, in library order, until that one is done.
-    On exit, also on error, unstarted ones are cancelled and the pool is
-    joined. The fields do not depend on ``n_workers``.
-    """
-    pool = ThreadPoolExecutor(max_workers=n_workers - 1) if n_workers > 1 else None
-    try:
-        futures = [
-            pool.submit(_prior_warp, p, t_crop, lib, config) if pool and p.warp_to_template is None else None
-            for p in lib.priors
-        ]
-
-        ahead = {}  # index -> field the calling thread registered before its turn
-
-        def field(i):
-            if i in ahead:
-                return ahead.pop(i)
-            fut = futures[i]
-            if fut is None or fut.cancel():
-                return _prior_warp(lib.priors[i], t_crop, lib, config)
-            for j in range(i + 1, len(futures)):
-                if fut.done():
-                    break
-                if j not in ahead and futures[j] is not None and futures[j].cancel():
-                    ahead[j] = _prior_warp(lib.priors[j], t_crop, lib, config)
-            return fut.result()
-
-        yield (field(i) for i in range(len(lib.priors)))
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-
-
 def _register_input(input_vol, lib, t_crop, config, true_warp_path):
     """Rigid input->template, the crop box transfer and the deformable stage, with a true warp in
     place of both registrations; returns the input crop box, the cropped input, the rigid map
@@ -160,6 +122,33 @@ def _register_input(input_vol, lib, t_crop, config, true_warp_path):
     return in_box, in_crop, rigid, psi
 
 
+@contextmanager
+def _registrations(input_vol, lib, t_crop, config, true_warp_path, n_workers):
+    """Yield the input's registration (``_register_input``) and an iterator over each
+    prior's field to the template (``_prior_warp``), in library order.
+
+    With one worker, or with every prior's warp cached, all of it runs on the
+    calling thread, the priors as the iterator reaches them. Otherwise a pool of
+    ``n_workers`` threads runs the input's registration and then every prior's,
+    in that order, while the calling thread goes on with what it yields. On
+    exit, also on error, registrations the pool has not started are cancelled
+    and the pool is joined. The results do not depend on ``n_workers``.
+    """
+    if n_workers == 1 or all(p.warp_to_template is not None for p in lib.priors):
+        yield (
+            _register_input(input_vol, lib, t_crop, config, true_warp_path),
+            (_prior_warp(p, t_crop, lib, config) for p in lib.priors),
+        )
+        return
+    pool = ThreadPoolExecutor(max_workers=n_workers)
+    try:
+        registered = pool.submit(_register_input, input_vol, lib, t_crop, config, true_warp_path)
+        futures = [pool.submit(_prior_warp, p, t_crop, lib, config) for p in lib.priors]
+        yield registered.result(), (f.result() for f in futures)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_segment(
     input_path,
     atlas_dir,
@@ -174,17 +163,20 @@ def run_segment(
     """Run the full multi-atlas segmentation; returns the paths of its three outputs.
 
     The atlas library is only read. A prior without a cached warp is
-    registered to the template in memory (``_prior_warps`` says how
-    ``n_workers`` spreads that work), and its id is listed under
-    ``notes.computed_prior_warps`` in the manifest.
+    registered to the template in memory, and its id is listed under
+    ``notes.computed_prior_warps`` in the manifest. ``n_workers`` threads run
+    the registrations while the calling thread inverts and assembles
+    (``_registrations``); one worker starts no thread. Settings are checked
+    before anything is read: a bad one is a UsageError.
     """
-    if mode not in DEFAULT_FUSION:
-        raise UsageError(f"mode must be one of {tuple(DEFAULT_FUSION)}")
-    fusion = fusion or DEFAULT_FUSION[mode]
+    if not isinstance(mode, str) or mode not in DEFAULT_FUSION:
+        raise UsageError(f"mode must be one of {tuple(DEFAULT_FUSION)}, not {mode!r}")
+    if fusion is None:
+        fusion = DEFAULT_FUSION[mode]
     if fusion not in FUSIONS:
-        raise UsageError(f"fusion must be one of {FUSIONS}")
-    if n_workers < 1:
-        raise UsageError("n_workers must be >= 1")
+        raise UsageError(f"fusion must be one of {FUSIONS}, not {fusion!r}")
+    if not _is_int(n_workers) or n_workers < 1:
+        raise UsageError(f"n_workers must be an integer >= 1, not {n_workers!r}")
     config = reg_config or RegConfig()
     jparams = jlf_params or JlfParams()
 
@@ -192,8 +184,8 @@ def run_segment(
     input_vol = imgio.read_volume(input_path)
     t_crop = crop(lib.template, lib.crop_box)
 
-    with _prior_warps(lib, t_crop, config, n_workers) as to_template:
-        in_box, in_crop, rigid, psi = _register_input(input_vol, lib, t_crop, config, true_warp_path)
+    with _registrations(input_vol, lib, t_crop, config, true_warp_path, n_workers) as (registered, to_template):
+        in_box, in_crop, rigid, psi = registered
         # held until fusion: the inverse's resample and each prior's compose and
         # warps share one voxel-centre grid of the input crop (Geometry.grid_world)
         in_grid = in_crop.geometry.grid_world()

@@ -308,6 +308,16 @@ def test_resample_through_a_field_on_its_own_lattice_reads_its_displacements(kin
     assert np.array_equal(resample(source, geom, field).data, want)
 
 
+def test_resample_refuses_a_field_on_another_lattice():
+    """A field moves the voxels of its own lattice only; on any other target it is refused."""
+    geom = _oblique_lattice()
+    field = DeformationField.zero(geom)
+    source = VolumeGrid(np.ones((4, 4, 4)), np.eye(4))
+    other = Geometry(geom.dims, np.eye(4))
+    with pytest.raises(GeometryMismatch, match="own lattice"):
+        resample(source, other, field)
+
+
 def test_label_affine_roundtrip_recovers_blocky_phantom():
     """Nearest warp then inverse warp recovers >= 99% of voxels on 4+ voxel blocks."""
     data = np.zeros((32, 32, 32), dtype=np.int32)

@@ -278,6 +278,48 @@ def test_segment_displaced_anatomy(tmp_path, off_template_lattice, unmoved_segme
         assert d >= (0.85 if n >= 500 else 0.60), f"code {code}: dice {d:.3f} (n={n})"
 
 
+# storage -> (flipped axis, axis permutation, labelled voxels that differ from the
+# unmoved segmentation when measured; the test allows half as many again)
+_REORDERED = {
+    "x-flipped": (0, None, 97),
+    "y-flipped": (1, None, 102),
+    "z-flipped": (2, None, 116),
+    "axes-201": (None, (2, 0, 1), 73),
+}
+
+
+@pytest.mark.parametrize("storage", list(_REORDERED))
+def test_segment_reordered_storage(tmp_path, off_template_lattice, unmoved_segmentation, storage):
+    """The 32^3-box subject stored flipped along x, y or z, or with its axes
+    permuted (2, 0, 1), the affine compensating so every voxel keeps its world
+    position. Read back in the unmoved storage, the segmentation differs from
+    the unmoved one in 97, 102, 116 and 73 of its 1,691 labelled voxels; this
+    pins each count at no more than 1.5 times that. volumes.csv counts mm^3."""
+    flip, perm, measured = _REORDERED[storage]
+    subject = off_template_lattice["subject"]
+    index_map = np.eye(4)  # stored index -> unmoved index
+    if flip is not None:
+        data = np.flip(subject.data, flip)
+        index_map[flip, flip], index_map[flip, 3] = -1.0, subject.geometry.dims[flip] - 1
+    else:
+        data = np.transpose(subject.data, perm)
+        index_map[:3, :3] = np.eye(3)[:, perm]
+    stored = VolumeGrid(np.ascontiguousarray(data), subject.geometry.affine @ index_map)
+    imgio.write_volume(stored, str(tmp_path / "in.nii.gz"))
+
+    out = run_segment(str(tmp_path / "in.nii.gz"), off_template_lattice["atlas"], str(tmp_path / "out"))
+    seg = imgio.read_volume(out["segmentation"], as_labels=True)
+    assert seg.geometry.close_to(stored.geometry)
+    back = np.flip(seg.data, flip) if flip is not None else np.transpose(seg.data, np.argsort(perm))
+    assert int((back != unmoved_segmentation).sum()) <= 1.5 * measured
+    voxel_mm3 = abs(np.linalg.det(stored.geometry.affine[:3, :3]))
+    with open(out["volumes"], newline="") as f:
+        volumes = {int(r["label_code"]): float(r["volume_mm3"]) for r in csv.DictReader(f)}
+    assert volumes[-1] == pytest.approx(float((seg.data > 0).sum()) * voxel_mm3)
+    for code in default_scheme().codes():
+        assert volumes[code] == pytest.approx(float((seg.data == code).sum()) * voxel_mm3)
+
+
 _WAIT_S = 30  # a regression fails after this long instead of hanging
 
 
@@ -311,34 +353,44 @@ def _trace_threads(monkeypatch, wait_for_prior):
 
 
 def test_uncached_priors_register_while_the_input_registers(tmp_path, warp_free, monkeypatch):
+    """At two workers two pool threads register: the input's rigid stage and
+    the priors all run off the calling thread."""
     rec = _trace_threads(monkeypatch, wait_for_prior=True)
-    _segment_warp_free(warp_free, tmp_path / "out", 2)
-    assert rec["prior_before_invert"]
-    assert rec["prior_threads"][0] != threading.get_ident()  # the first ran on the pool
-    assert len(rec["started"]) == 1 and not rec["started"][0].is_alive()
-
-
-def test_calling_thread_registers_queued_priors_instead_of_waiting(tmp_path, warp_free, warp_free_serial, monkeypatch):
-    """At two workers the pool's first registration holds until the calling
-    thread has registered a later prior: it must take the queued one rather
-    than wait on the running one. The outputs stay those of one worker."""
+    rigid_threads = []
+    real_rigid = pipeline.register_rigid
+    monkeypatch.setattr(pipeline, "register_rigid", lambda *a: rigid_threads.append(threading.get_ident()) or real_rigid(*a))
+    run_segment(warp_free["input"], warp_free["atlas"], str(tmp_path / "out"), fusion="mv", n_workers=2)
     caller = threading.get_ident()
-    caller_registered = threading.Event()
-    pool_waits = []
-    real_prior_warp = pipeline._prior_warp
+    assert rec["prior_before_invert"]
+    assert len(rigid_threads) == 1 and rigid_threads[0] != caller
+    assert len(rec["prior_threads"]) == 2 and caller not in rec["prior_threads"]
+    assert len(rec["started"]) == 2 and not any(t.is_alive() for t in rec["started"])
+
+
+def test_input_and_a_prior_register_at_once_on_two_pool_threads(tmp_path, warp_free, warp_free_serial, monkeypatch):
+    """At two workers the input's registration and the first prior's run at
+    once: each waits at a barrier the other must reach. Neither runs on the
+    calling thread, and the outputs stay those of one worker."""
+    met = threading.Barrier(2, timeout=_WAIT_S)
+    input_threads, prior_threads = [], []
+    real_register_input, real_prior_warp = pipeline._register_input, pipeline._prior_warp
+
+    def register_input(*args):
+        input_threads.append(threading.get_ident())
+        met.wait()
+        return real_register_input(*args)
 
     def prior_warp(*args):
-        if threading.get_ident() == caller:
-            caller_registered.set()
-        elif not pool_waits:
-            pool_waits.append(caller_registered.wait(_WAIT_S))
+        prior_threads.append(threading.get_ident())
+        if len(prior_threads) == 1:
+            met.wait()
         return real_prior_warp(*args)
 
+    monkeypatch.setattr(pipeline, "_register_input", register_input)
     monkeypatch.setattr(pipeline, "_prior_warp", prior_warp)
-    rec = _trace_threads(monkeypatch, wait_for_prior=True)  # the input waits for the pool to start
     out = _segment_warp_free(warp_free, tmp_path / "out", 2)
-    assert pool_waits == [True]
-    assert rec["prior_threads"][0] != caller and rec["prior_threads"][1] == caller
+    assert len(input_threads) == 1 and input_threads[0] != prior_threads[0]
+    assert threading.get_ident() not in input_threads + prior_threads
     assert _output_shas(out) == warp_free_serial
 
 
@@ -379,9 +431,20 @@ def test_prior_registration_failure_on_a_pool_thread_propagates(tmp_path, warp_f
     assert not (tmp_path / "b" / "segmentation.nii.gz").exists()
 
 
-def test_input_registration_failure_at_two_workers_ends_the_call(tmp_path, warp_free, monkeypatch):
-    """An error in the input's registration propagates at once: the prior
-    registration the pool has not started is cancelled, and no thread the
+@pytest.fixture(scope="module")
+def warp_free_five(tmp_path_factory, off_template_lattice):
+    """off_template_lattice's 5-prior library with its cached warps removed, and its subject."""
+    root = tmp_path_factory.mktemp("warp_free_five")
+    shutil.copytree(off_template_lattice["atlas"], root / "atlas")
+    for warp in (root / "atlas").glob("priors/*/warp_to_template.nii.gz"):
+        warp.unlink()
+    imgio.write_volume(off_template_lattice["subject"], str(root / "in.nii.gz"))
+    return {"atlas": str(root / "atlas"), "input": str(root / "in.nii.gz")}
+
+
+def test_input_registration_failure_at_two_workers_ends_the_call(tmp_path, warp_free_five, monkeypatch):
+    """An error in the input's registration propagates at once: of five prior
+    registrations at most two start, the rest are cancelled, and no thread the
     call started outlives it."""
     rec = _trace_threads(monkeypatch, wait_for_prior=False)
 
@@ -390,9 +453,9 @@ def test_input_registration_failure_at_two_workers_ends_the_call(tmp_path, warp_
 
     monkeypatch.setattr(pipeline, "register_rigid", rigid_fails)
     with pytest.raises(FoldingDetected, match="input's registration"):
-        run_segment(warp_free["input"], warp_free["atlas"], str(tmp_path / "o"), fusion="mv", n_workers=2)
-    assert len(rec["prior_threads"]) <= 1
-    assert not any(t.is_alive() for t in rec["started"])
+        run_segment(warp_free_five["input"], warp_free_five["atlas"], str(tmp_path / "o"), fusion="mv", n_workers=2)
+    assert len(rec["prior_threads"]) <= 2
+    assert rec["started"] and not any(t.is_alive() for t in rec["started"])
     assert not (tmp_path / "o").exists()
 
 
@@ -887,6 +950,10 @@ def test_segment_broken_library_exits_2(tmp_path, capsys, warp_free, case):
         json.dumps({"jlf_params": {"beta": float("nan")}}),
         json.dumps({"fusoin": "mv"}),
         json.dumps({"fusion": "mv", "shrink_factors": [2, 1]}),
+        json.dumps({"mode": ["wmn"]}),
+        json.dumps({"mode": {"x": 1}}),
+        json.dumps({"fusion": ""}),
+        json.dumps({"fusion": 0}),
     ],
     ids=[
         "unknown-key", "bad-value", "not-json", "json-array", "missing-file",
@@ -894,6 +961,7 @@ def test_segment_broken_library_exits_2(tmp_path, capsys, warp_free, case):
         "no-metric-samples", "zero-bins", "fractional-bins", "jacobian-above-one",
         "negative-cc-radius", "negative-step", "negative-stall-window", "fractional-patch", "nan-beta",
         "misspelt-top-level-key", "section-key-at-top-level",
+        "mode-list", "mode-object", "empty-fusion", "zero-fusion",
     ],
 )
 def test_segment_bad_config_exits_1(tmp_path, capsys, text):
@@ -905,7 +973,8 @@ def test_segment_bad_config_exits_1(tmp_path, capsys, text):
     missing_input, missing_atlas = str(tmp_path / "in.nii.gz"), str(tmp_path / "atlas")
     args = ["segment", "--input", missing_input, "--atlas", missing_atlas, "--out-dir", str(tmp_path / "o")]
     assert main(args + ["--config", str(path)]) == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "UsageError"
 
 
 def test_segment_one_voxel_pyramid_level_exits_2(tmp_path, capsys, warp_free):
@@ -965,4 +1034,13 @@ def test_segment_rejects_fewer_than_one_worker(tmp_path, workers):
     args = ["segment", "--input", missing_input, "--atlas", missing_atlas, "--out-dir", str(tmp_path / "o")]
     assert main(args + ["--workers", str(workers)]) == 1
     assert main(args + ["--workers", "1"]) == 2  # the same call with one worker fails on the data
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("workers", [2.5, "2", True])
+def test_segment_rejects_a_worker_count_that_is_not_an_integer(tmp_path, workers):
+    """A worker count must be an integer, not a bool, checked before anything is read."""
+    missing_input, missing_atlas = str(tmp_path / "in.nii.gz"), str(tmp_path / "atlas")
+    with pytest.raises(UsageError, match="n_workers"):
+        run_segment(missing_input, missing_atlas, str(tmp_path / "o"), n_workers=workers)
     assert not (tmp_path / "o").exists()

@@ -57,7 +57,7 @@ class AffineTransform:
 
     The one rule for every affine the package builds or reads: the last row is
     exactly (0, 0, 0, 1), the 3x4 part is finite and |det| > _DET_EPS. The
-    inverse and any composite of valid transforms keep that last row exactly.
+    inverse of a valid transform keeps that last row exactly.
     """
 
     def __init__(self, matrix):
@@ -95,10 +95,6 @@ class AffineTransform:
 
     def inverse(self):
         return AffineTransform(np.linalg.inv(self.matrix))
-
-    def compose(self, other):
-        """self after other: (self @ other)(x) = self(other(x))."""
-        return AffineTransform(self.matrix @ other.matrix)
 
 
 @dataclass(frozen=True)

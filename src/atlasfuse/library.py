@@ -9,7 +9,8 @@ Layout:
     priors/<id>/warp_to_template.nii.gz   (optional cache, written only by save)
 
 Priors are always loaded in sorted id order so downstream results do not
-depend on directory listing order.
+depend on directory listing order. A prior without a cached warp must lie on
+the template's lattice, where it is registered from the identity.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 from . import imgio
 from .atomic import atomic_open, make_dirs
-from .errors import DataError, MissingFile
+from .errors import DataError, GeometryMismatch, MissingFile
 from .grid import CropBox, DeformationField, LabelScheme, LabelVolume, VolumeGrid
 
 
@@ -92,6 +93,8 @@ class AtlasLibrary:
             wpath = os.path.join(sub, "warp_to_template.nii.gz")
             if os.path.isfile(wpath):
                 warp = imgio.read_field(wpath)
+            elif not intensity.geometry.close_to(template.geometry):
+                raise GeometryMismatch(f"prior {pid} has no cached warp and is off the template's lattice")
             priors.append(AtlasPrior(pid, intensity, labels, warp))
         if not priors:
             raise MissingFile(f"no priors found under {pdir}")

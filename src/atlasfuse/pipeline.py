@@ -95,18 +95,19 @@ def read_config(path):
 
 
 def _prior_warp(prior, t_crop, lib, config):
-    """Prior->template field: the cached one, or the prior registered onto t_crop in memory."""
+    """Prior->template field: the cached one, on its file's lattice, or the prior registered onto
+    t_crop in memory, on the demons' finest level of t_crop (t_crop's own lattice when the last
+    shrink factor is 1). An uncached prior lies on the template's lattice (AtlasLibrary.load)."""
     if prior.warp_to_template is not None:
         return prior.warp_to_template
-    p_crop = crop(prior.intensity, lib.crop_box)
-    d = register_deformable(t_crop, p_crop, config=config)
-    return resample_field(d, lib.template.geometry)
+    return register_deformable(t_crop, crop(prior.intensity, lib.crop_box), config=config)
 
 
 def _register_input(input_vol, lib, t_crop, config, true_warp_path):
     """Rigid input->template, the crop box transfer and the deformable stage, with a true warp in
     place of both registrations; returns the input crop box, the cropped input, the rigid map
-    and the residual psi on the template crop (the template->input map is rigid^-1(x + psi(x)))."""
+    and the residual psi (the template->input map is rigid^-1(x + psi(x))). A registered psi lies
+    on the demons' finest level of the template crop, a true warp on its file's lattice."""
     if true_warp_path:
         rigid, psi = AffineTransform.identity(), imgio.read_field(true_warp_path)
     else:

@@ -163,15 +163,11 @@ class _MiCost:
 
     def __init__(self, fixed: VolumeGrid, moving: VolumeGrid, bins, max_samples):
         self.bins = bins
-        dims = fixed.geometry.dims
-        ii, jj, kk = np.meshgrid(
-            np.arange(dims[0] - 1), np.arange(dims[1] - 1), np.arange(dims[2] - 1),
-            indexing="ij",
-        )
-        idx = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3) + self._JITTER
-        if idx.shape[0] > max_samples:
-            stride = int(np.ceil(idx.shape[0] / max_samples))
-            idx = idx[::stride]
+        # every step-th flat index of the (d - 1)^3 box, the least step that keeps at most max_samples
+        shape = tuple(d - 1 for d in fixed.geometry.dims)
+        n = int(np.prod(shape))
+        step = -(-n // max_samples)
+        idx = np.stack(np.unravel_index(np.arange(0, n, step), shape), axis=-1) + self._JITTER
         pts = fixed.geometry.index_to_world(idx)
         fvals = map_coordinates(fixed.data, idx.T, order=1, mode="nearest")
         self.pts = pts
@@ -318,7 +314,7 @@ def _register_linear(fixed, moving, config, n_params, p0=None):
     finds a false optimum.
     """
     _check_linear_inputs(fixed, moving)
-    center = fixed.geometry.grid_world().mean(axis=0)
+    center = fixed.geometry.index_to_world([np.subtract(fixed.geometry.dims, 1) / 2])[0]  # the lattice's centre
     p = np.zeros(n_params)
     if n_params == 12:
         p[6:9] = 1.0
@@ -407,7 +403,8 @@ def register_deformable(
     init: AffineTransform | None = None,
     config: RegConfig | None = None,
 ) -> DeformationField:
-    """Diffeomorphic-demons-style registration; returns the residual psi on fixed's lattice.
+    """Diffeomorphic-demons-style registration; returns the residual psi on the finest level's
+    lattice, which is fixed's own only when the last shrink factor is 1.
 
     The map is init(x + psi(x)), or x + psi(x) without init. psi starts at
     zero and each update composes into it alone. Each pyramid level composes

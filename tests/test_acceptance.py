@@ -207,7 +207,7 @@ def test_criterion_5_registration_recovery(base):
     c_rot = AffineTransform(rot)
     moving = resample(wmn, wmn.geometry, c_rot)
     t = register_rigid(wmn, moving)
-    resid = t.compose(c_rot).matrix[:3, :3]
+    resid = (t.matrix @ c_rot.matrix)[:3, :3]
     rot_err = float(
         np.degrees(np.arccos(np.clip((np.trace(resid) - 1.0) / 2.0, -1.0, 1.0)))
     )

@@ -147,16 +147,13 @@ def test_transform_rejects_non_finite_entries_without_a_warning(entry, value):
             AffineTransform(m)
 
 
-def test_inverse_and_compose_of_valid_transforms_are_valid():
-    """The last row of inv(A) and of A @ B stays exactly (0, 0, 0, 1), so neither raises."""
+def test_inverse_of_a_valid_transform_is_valid():
+    """The last row of inv(A) stays exactly (0, 0, 0, 1), so it does not raise."""
     rng = np.random.default_rng(23)
     for _ in range(10_000):
         m = np.eye(4)
         m[:3] = rng.standard_normal((3, 4)) * 10.0 ** rng.uniform(-2.0, 2.0, (3, 1))
-        t = AffineTransform(m)
-        inv = t.inverse()
-        t.compose(inv)
-        inv.compose(t)
+        AffineTransform(m).inverse()
 
 
 @pytest.mark.parametrize("scale, accepted", [(1.01e-12, True), (0.99e-12, False)])

@@ -25,9 +25,11 @@ from atlasfuse.grid import (
     label_bounding_box,
     resample,
 )
+from atlasfuse.library import AtlasLibrary
 from atlasfuse.metrics import centroid_distance, dice, vsi
 from atlasfuse.phantom import WarpSpec, derive_atlases, make_subject, synthesized_base
 from atlasfuse.pipeline import run_eval, run_segment, run_stats
+from atlasfuse.register import RegConfig
 
 
 def _sha(path):
@@ -179,6 +181,16 @@ def test_segment_registers_uncached_prior_warps_without_writing_the_library(
     seg = imgio.read_volume(out["segmentation"], as_labels=True)
     assert dice(seg, warp_free["truth"], -1) > 0.85
     assert _output_shas(out) == warp_free_serial
+
+
+def test_computed_prior_warp_stays_on_the_template_crop(warp_free):
+    """A prior without a cached warp is registered onto the template crop, and its field
+    is returned on that crop's lattice, not resampled onto the whole template."""
+    lib = AtlasLibrary.load(warp_free["atlas"])
+    t_crop = crop(lib.template, lib.crop_box)
+    assert t_crop.geometry.dims != lib.template.geometry.dims
+    field = pipeline._prior_warp(lib.priors[0], t_crop, lib, RegConfig())
+    assert field.geometry.close_to(t_crop.geometry)
 
 
 @pytest.fixture(scope="module")
@@ -876,7 +888,15 @@ def _add_unknown_label(path):
     imgio.write_volume(labels.with_data(data), str(path))
 
 
-# case: (how the library copy is broken, the error segment must report)
+def _move_prior(prior_dir, shift):
+    """The prior's intensity and labels stored under headers translated by shift mm."""
+    for name, as_labels in (("intensity.nii.gz", False), ("labels.nii.gz", True)):
+        vol = imgio.read_volume(str(prior_dir / name), as_labels=as_labels)
+        affine = vol.geometry.affine.copy()
+        affine[:3, 3] += shift
+        imgio.write_volume(type(vol)(vol.data, affine), str(prior_dir / name))
+
+
 def test_segment_non_finite_input_exits_2(tmp_path, capsys, atlas_env):
     """A NaN voxel in the input is a data error at the rigid stage, not a
     wrong registration or a numerical failure downstream."""
@@ -892,6 +912,7 @@ def test_segment_non_finite_input_exits_2(tmp_path, capsys, atlas_env):
     assert not (tmp_path / "o").exists()
 
 
+# case: (how the library copy is broken, the error segment must report)
 BROKEN_LIBRARY = {
     "missing-cropbox": (lambda lib: (lib / "cropbox.json").unlink(), "MissingFile"),
     "missing-scheme": (lambda lib: (lib / "scheme.json").unlink(), "MissingFile"),
@@ -910,14 +931,18 @@ BROKEN_LIBRARY = {
     "prior-label-not-in-scheme": (
         lambda lib: _add_unknown_label(lib / "priors" / "prior01" / "labels.nii.gz"), "GeometryMismatch"
     ),
+    "uncached-prior-off-the-template": (
+        lambda lib: _move_prior(lib / "priors" / "prior00", (12.0, -8.0, 5.0)), "GeometryMismatch"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", BROKEN_LIBRARY)
 def test_segment_broken_library_exits_2(tmp_path, capsys, warp_free, case):
     """A library whose cropbox.json or scheme.json is missing or malformed, whose crop
-    box misses the template, or whose prior labels hold a code its scheme lacks, is a
-    data error, not a traceback."""
+    box misses the template, whose prior labels hold a code its scheme lacks, or whose
+    prior without a cached warp is off the template's lattice, is a data error, not a
+    traceback."""
     breaker, error = BROKEN_LIBRARY[case]
     lib = tmp_path / "atlas"
     shutil.copytree(warp_free["atlas"], lib)

@@ -10,11 +10,13 @@ coordinate-wise adaptive-step search over a shrink pyramid. Each level
 scores the metric on at most 16 samples per joint-histogram cell, as
 sample-based MI estimators size their sample set to the histogram (Mattes et
 al., IEEE TMI 2003): above that, the fixed lattice's voxel samples are taken
-at the least flat stride that fits. The deformable
-stage is single-direction diffeomorphic-demons-style iteration driven by
-local normalized cross-correlation forces, with Gaussian regularization of
-both the update and the accumulated field: each pyramid level takes a fixed
-number of steps whose peak is one voxel (Vercauteren et al., NeuroImage 2009).
+at the least flat stride that fits. A trial maps the samples' fixed-lattice
+indices into the moving lattice by one 3x4 product, and scipy's constant-mode
+bounds mark the overlap. The deformable stage is single-direction
+diffeomorphic-demons-style iteration driven by local normalized
+cross-correlation forces, with Gaussian regularization of both the update
+and the accumulated field: each pyramid level takes a fixed number of steps
+whose peak is one voxel (Vercauteren et al., NeuroImage 2009).
 Its field is the residual psi of the map init(x + psi(x)): an affine start
 stays outside it, as ANTs keeps its initial transform (Avants et al. 2011).
 """
@@ -155,7 +157,14 @@ def _downsample(vol: VolumeGrid, factor: int) -> VolumeGrid:
 
 
 class _MiCost:
-    """-MI(fixed, moving o T) on a fixed set of sample points."""
+    """-MI(fixed, moving o T) on a fixed set of fixed-lattice samples.
+
+    The samples are held as homogeneous fixed-lattice indices, so a trial maps
+    them into the moving lattice by one 3x4 product, the top rows of
+    inv(A_moving) T A_fixed, and interpolates there in scipy's constant mode:
+    its NaN cval marks exactly the samples outside [0, d - 1] on some axis,
+    Geometry.contains_index's rule, and inside it reads what nearest mode reads.
+    """
 
     # constant sub-voxel sample offset: interpolating the fixed image too keeps
     # the metric free of the grid-aligned MI inflation artifact
@@ -167,38 +176,39 @@ class _MiCost:
         shape = tuple(d - 1 for d in fixed.geometry.dims)
         n = int(np.prod(shape))
         step = -(-n // max_samples)
-        idx = np.stack(np.unravel_index(np.arange(0, n, step), shape), axis=-1) + self._JITTER
-        pts = fixed.geometry.index_to_world(idx)
-        fvals = map_coordinates(fixed.data, idx.T, order=1, mode="nearest")
-        self.pts = pts
+        idx = np.stack(np.unravel_index(np.arange(0, n, step), shape)) + self._JITTER[:, None]
+        fvals = map_coordinates(fixed.data, idx, order=1, mode="nearest")
+        self.idx = np.vstack([idx, np.ones(idx.shape[1])])  # (4, N)
+        self.fixed_affine = fixed.geometry.affine
+        self.moving_inv = np.linalg.inv(moving.geometry.affine)
         # shared bin edges: identical intensities must land in identical bins,
         # otherwise exact alignment is not the metric optimum
         self.vmin = float(min(fixed.data.min(), moving.data.min()))
         self.vrange = max(
             float(max(fixed.data.max(), moving.data.max())) - self.vmin, 1e-30
         )
-        self.fbin = np.clip(
-            ((fvals - self.vmin) / self.vrange * bins).astype(np.int64), 0, bins - 1
-        )
+        fbin = np.clip(((fvals - self.vmin) / self.vrange * bins).astype(np.int64), 0, bins - 1)
+        self.frow = fbin * (bins + 1)  # each sample's row offset in the flat joint histogram
         self.moving = moving
 
+    def moving_bins(self, transform: AffineTransform) -> np.ndarray:
+        """Each sample's moving-image bin under transform; bins for a sample outside the lattice,
+        so shrinking the overlap cannot masquerade as higher dependence."""
+        m = self.moving_inv @ transform.matrix @ self.fixed_affine
+        mvals = map_coordinates(self.moving.data, m[:3] @ self.idx, order=1, mode="constant", cval=np.nan)
+        outside = np.isnan(mvals)
+        # clipped before the cast, which truncates, so NaN is never cast: the same bins as a cast then a clip
+        scaled = np.clip((mvals - self.vmin) / self.vrange * self.bins, 0, self.bins - 1)
+        scaled[outside] = self.bins
+        return scaled.astype(np.int64)
+
     def __call__(self, transform: AffineTransform) -> float:
-        idx = self.moving.geometry.world_to_index(transform.map_points(self.pts))
-        valid = self.moving.geometry.contains_index(idx)
-        if np.count_nonzero(valid) < 100:
-            return 1.0  # no usable overlap; any real -MI is <= 0
-        # every point is interpolated (each value depends on its own point
-        # only), then out-of-bounds samples go to a dedicated moving bin so
-        # shrinking the overlap cannot masquerade as higher dependence
-        mvals = map_coordinates(self.moving.data, idx.T, order=1, mode="nearest")
         ncols = self.bins + 1
-        mbin = np.clip(
-            ((mvals - self.vmin) / self.vrange * self.bins).astype(np.int64), 0, self.bins - 1
-        )
-        mbin[~valid] = self.bins
         joint = np.bincount(
-            self.fbin * ncols + mbin, minlength=self.bins * ncols
+            self.frow + self.moving_bins(transform), minlength=self.bins * ncols
         ).reshape(self.bins, ncols)
+        if joint[:, : self.bins].sum() < 100:
+            return 1.0  # no usable overlap; any real -MI is <= 0
         p = joint / joint.sum()
         px = p.sum(axis=1, keepdims=True)
         py = p.sum(axis=0, keepdims=True)

@@ -607,7 +607,8 @@ def test_smooth_field_matches_per_component_loop(sigma):
 def _moving_index(cost, transform):
     """Moving-image voxel indices of the cost's samples under transform, and their in-bounds mask."""
     minv = np.linalg.inv(cost.moving.geometry.affine)
-    src = cost.pts @ transform.matrix[:3, :3].T + transform.matrix[:3, 3]
+    pts = cost.idx[:3].T @ cost.fixed_affine[:3, :3].T + cost.fixed_affine[:3, 3]
+    src = pts @ transform.matrix[:3, :3].T + transform.matrix[:3, 3]
     idx = src @ minv[:3, :3].T + minv[:3, 3]
     return idx, np.all((idx >= 0) & (idx <= np.array(cost.moving.geometry.dims, dtype=float) - 1), axis=1)
 
@@ -623,7 +624,7 @@ def _reference_mi(cost, transform):
     mbin[valid] = np.clip(
         ((mvals - cost.vmin) / cost.vrange * cost.bins).astype(np.int64), 0, cost.bins - 1
     )
-    joint = np.bincount(cost.fbin * ncols + mbin, minlength=cost.bins * ncols).reshape(
+    joint = np.bincount(cost.frow + mbin, minlength=cost.bins * ncols).reshape(
         cost.bins, ncols
     )
     p = joint / joint.sum()
@@ -684,7 +685,7 @@ def test_mi_samples_at_most_sixteen_per_histogram_cell(monkeypatch):
     cap = 16 * register._MI_BINS**2
     assert [geom.dims for geom, _ in built] == [(16, 16, 16), (32, 32, 32)]
     for (geom, cost), stride in zip(built, (1, 2)):
-        idx = geom.world_to_index(cost.pts) - _MiCost._JITTER
+        idx = cost.idx[:3].T - _MiCost._JITTER
         assert np.allclose(idx, np.rint(idx), atol=1e-9)
         lattice = tuple(d - 1 for d in geom.dims)
         flat = np.ravel_multi_index(tuple(np.rint(idx).astype(np.int64).T), lattice)
@@ -722,6 +723,47 @@ def test_mi_cost_matches_gather_reference(seed):
     assert partial and empty and full
     far = AffineTransform(_params_to_matrix(np.r_[100.0, 0, 0, 0, 0, 0], center, 6))
     assert cost(far) == _reference_mi(cost, far) == 1.0
+
+
+def test_mi_cost_on_the_lattice_edge():
+    """A sample exactly on index 0 or d - 1 of the moving lattice is overlap and one ulp
+    beyond either is not, on every axis, as Geometry.contains_index rules; a sample that
+    reads the image maximum takes the top bin, not the outside column."""
+    rng = np.random.default_rng(11)
+    fixed = VolumeGrid(gaussian_filter(rng.standard_normal((9, 8, 7)), 1.0), np.eye(4))
+    data = gaussian_filter(rng.standard_normal((12, 11, 10)), 1.0)
+    data[-1, -1, -1] = max(data.max(), fixed.data.max()) + 1.0
+    moving = VolumeGrid(data, np.eye(4))
+    cost = _MiCost(fixed, moving, 32, 50000)
+    x = cost.idx[:3]  # identity affines: the samples' fixed indices are their world points
+    lo, hi = x.min(axis=1), x.max(axis=1)
+    top = np.array(moving.geometry.dims, dtype=float) - 1
+    # each translation sums exactly (Sterbenz) to the edge samples' moving index, in the
+    # world chain and in the index map alike: (shift, edge samples' fixed index, their moving
+    # index, whether they are overlap)
+    cases = [
+        (-lo, lo, np.zeros(3), True),
+        (-np.nextafter(lo, np.inf), lo, lo - np.nextafter(lo, np.inf), False),
+        (top - hi, hi, top, True),
+        (np.nextafter(top, np.inf) - hi, hi, np.nextafter(top, np.inf), False),
+    ]
+    for axis in range(3):
+        for shift, side, at, counted in cases:
+            t = np.full(3, 1.5)  # the other axes stay well inside
+            t[axis] = shift[axis]
+            transform = _translation(t)
+            idx, _ = _moving_index(cost, transform)
+            edge = x[axis] == side[axis]
+            assert np.all(idx[edge, axis] == at[axis])
+            inside = moving.geometry.contains_index(idx)
+            assert edge.any() and np.all(inside[edge] == counted)
+            assert np.array_equal(cost.moving_bins(transform) < cost.bins, inside)
+            assert cost(transform) == _reference_mi(cost, transform)
+    corner = _translation(top - hi)  # the last sample lands on the moving lattice's last voxel
+    idx, _ = _moving_index(cost, corner)
+    assert np.array_equal(idx[-1], top)
+    assert cost.moving_bins(corner)[-1] == cost.bins - 1
+    assert cost(corner) == _reference_mi(cost, corner)
 
 
 class _CountingCost:

@@ -91,8 +91,15 @@ def cmd_phantom(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose errors, its subparsers' too, raise UsageError: one JSON line like any usage error."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="atlasfuse", description="Multi-atlas thalamic segmentation toolkit")
+    p = _Parser(prog="atlasfuse", description="Multi-atlas thalamic segmentation toolkit")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -152,13 +159,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 1 if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as e:  # --help or --version has printed its text
+        return e.code
     except AtlasFuseError as e:
         code = 1 if isinstance(e, UsageError) else 3 if isinstance(e, NumericalError) else 2
         print(json.dumps({"status": "error", "error": type(e).__name__, "message": str(e)}), file=sys.stderr)

@@ -78,10 +78,6 @@ class DegenerateInput(DataError):
     wide, cannot drive a similarity metric."""
 
 
-class NoOverlap(DataError):
-    """Fixed and moving fields of view are disjoint in world space."""
-
-
 class FoldingDetected(NumericalError):
     """Deformable result folds space (positive-Jacobian fraction too low)."""
 

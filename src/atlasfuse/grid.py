@@ -171,11 +171,6 @@ class Geometry:
         """World positions of the lattice's 8 corner voxel centers, shape (8, 3)."""
         return self.index_to_world(CropBox((0, 0, 0), np.subtract(self.dims, 1)).corners())
 
-    def world_bounds(self):
-        """Axis-aligned world bounding box of the voxel-center lattice."""
-        w = self.world_corners()
-        return w.min(axis=0), w.max(axis=0)
-
     def close_to(self, other: "Geometry") -> bool:
         return self.dims == other.dims and np.allclose(self.affine, other.affine, atol=_AFFINE_ATOL)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import center_of_mass, gaussian_filter, map_coordinates, uniform_filter
 
-from .errors import DegenerateInput, FoldingDetected, InversionDiverged, NoOverlap
+from .errors import DegenerateInput, FoldingDetected, InversionDiverged
 from .grid import AffineTransform, DeformationField, Geometry, LabelVolume, VolumeGrid, _is_int, resample, sq_norms
 
 
@@ -157,7 +157,7 @@ def _downsample(vol: VolumeGrid, factor: int) -> VolumeGrid:
 
 
 class _MiCost:
-    """-MI(fixed, moving o T) on a fixed set of fixed-lattice samples.
+    """-MI(fixed, moving o T) on a fixed set of fixed-lattice samples; a trial is T's 4x4 matrix.
 
     The samples are held as homogeneous fixed-lattice indices, so a trial maps
     them into the moving lattice by one 3x4 product, the top rows of
@@ -170,12 +170,12 @@ class _MiCost:
     # the metric free of the grid-aligned MI inflation artifact
     _JITTER = np.array([0.37, 0.62, 0.41])
 
-    def __init__(self, fixed: VolumeGrid, moving: VolumeGrid, bins, max_samples):
-        self.bins = bins
-        # every step-th flat index of the (d - 1)^3 box, the least step that keeps at most max_samples
+    def __init__(self, fixed: VolumeGrid, moving: VolumeGrid):
+        self.bins = bins = _MI_BINS
+        # every step-th flat index of the (d - 1)^3 box, the least step that keeps at most _MAX_METRIC_SAMPLES
         shape = tuple(d - 1 for d in fixed.geometry.dims)
         n = int(np.prod(shape))
-        step = -(-n // max_samples)
+        step = -(-n // _MAX_METRIC_SAMPLES)
         idx = np.stack(np.unravel_index(np.arange(0, n, step), shape)) + self._JITTER[:, None]
         fvals = map_coordinates(fixed.data, idx, order=1, mode="nearest")
         self.idx = np.vstack([idx, np.ones(idx.shape[1])])  # (4, N)
@@ -191,10 +191,10 @@ class _MiCost:
         self.frow = fbin * (bins + 1)  # each sample's row offset in the flat joint histogram
         self.moving = moving
 
-    def moving_bins(self, transform: AffineTransform) -> np.ndarray:
-        """Each sample's moving-image bin under transform; bins for a sample outside the lattice,
+    def moving_bins(self, matrix: np.ndarray) -> np.ndarray:
+        """Each sample's moving-image bin under the 4x4 matrix; bins for a sample outside the lattice,
         so shrinking the overlap cannot masquerade as higher dependence."""
-        m = self.moving_inv @ transform.matrix @ self.fixed_affine
+        m = self.moving_inv @ matrix @ self.fixed_affine
         mvals = map_coordinates(self.moving.data, m[:3] @ self.idx, order=1, mode="constant", cval=np.nan)
         outside = np.isnan(mvals)
         # clipped before the cast, which truncates, so NaN is never cast: the same bins as a cast then a clip
@@ -202,10 +202,10 @@ class _MiCost:
         scaled[outside] = self.bins
         return scaled.astype(np.int64)
 
-    def __call__(self, transform: AffineTransform) -> float:
+    def __call__(self, matrix: np.ndarray) -> float:
         ncols = self.bins + 1
         joint = np.bincount(
-            self.frow + self.moving_bins(transform), minlength=self.bins * ncols
+            self.frow + self.moving_bins(matrix), minlength=self.bins * ncols
         ).reshape(self.bins, ncols)
         if joint[:, : self.bins].sum() < 100:
             return 1.0  # no usable overlap; any real -MI is <= 0
@@ -243,13 +243,14 @@ def _params_to_matrix(p, center, n_params):
     return m
 
 
-def _coordinate_descent(cost, p0, steps, min_steps, max_sweeps):
+def _coordinate_descent(cost, starts, steps, min_steps, max_sweeps):
     """Adaptive-step coordinate search minimizing cost; returns (p, f).
 
-    Each sweep tries p +/- steps[k] per coordinate, takes the first strict
-    improvement and grows that step; a sweep without one halves every step.
-    The search ends once every step is below its minimum, or after max_sweeps.
-    Costs are memoized by the trial vector's bytes for the length of one call:
+    It begins at the first of starts with the least cost. Each sweep tries
+    p +/- steps[k] per coordinate, takes the first strict improvement and grows
+    that step; a sweep without one halves every step. The search ends once
+    every step is below its minimum, or after max_sweeps. Costs, the starts'
+    too, are memoized by the trial vector's bytes for the length of one call:
     a coordinate whose step and base point did not change since the previous
     sweep would otherwise re-evaluate the same candidates.
     """
@@ -261,9 +262,9 @@ def _coordinate_descent(cost, p0, steps, min_steps, max_sweeps):
             seen[key] = cost(q)
         return seen[key]
 
-    p = np.asarray(p0, dtype=float).copy()
-    steps = np.asarray(steps, dtype=float).copy()
+    p = min((np.asarray(q, dtype=float) for q in starts), key=cached)
     f = cached(p)
+    steps = np.asarray(steps, dtype=float).copy()
     for _ in range(max_sweeps):
         improved = False
         for k in range(len(p)):
@@ -283,16 +284,13 @@ def _coordinate_descent(cost, p0, steps, min_steps, max_sweeps):
     return p, f
 
 
-def _check_linear_inputs(fixed, moving):
+def _check_intensities(fixed, moving):
+    """Finite, non-constant intensities in both images; where they lie in world space is the search's to find."""
     for name, vol in (("fixed", fixed), ("moving", moving)):
         if not np.isfinite(vol.data).all():
             raise DegenerateInput(f"{name} image has non-finite intensities")
         if vol.data.size == 0 or np.ptp(vol.data) == 0:
             raise DegenerateInput(f"{name} image has constant intensity")
-    flo, fhi = fixed.geometry.world_bounds()
-    mlo, mhi = moving.geometry.world_bounds()
-    if np.any(flo > mhi) or np.any(mlo > fhi):
-        raise NoOverlap("fixed and moving world bounding boxes are disjoint")
 
 
 def _min_steps(geometry, center, n_params):
@@ -318,33 +316,29 @@ def _centroid(vol):
 def _register_linear(fixed, moving, config, n_params, p0=None):
     """(transform, parameter vector) of an n_params-dof MI registration.
 
-    Without p0 the coarsest level scores translation 0 and the offset of the
-    images' intensity centroids, as ANTs' [fixed,moving,1] start does, and
-    descends from the strictly better: from 0 alone a search past about 15 mm
+    Without p0 the coarsest level's search starts from translation 0 and the
+    offset of the images' intensity centroids, as ANTs' [fixed,moving,1] start
+    does, and descends from the better: from 0 alone a search past about 15 mm
     finds a false optimum.
     """
-    _check_linear_inputs(fixed, moving)
+    _check_intensities(fixed, moving)
     center = fixed.geometry.index_to_world([np.subtract(fixed.geometry.dims, 1) / 2])[0]  # the lattice's centre
     p = np.zeros(n_params)
     if n_params == 12:
         p[6:9] = 1.0
-    start = None  # the centroid start
     if p0 is not None:
         p[: len(p0)] = p0
-    else:
-        start = p.copy()
-        start[:3] = _centroid(moving) - _centroid(fixed)
+        starts = [p]
+    else:  # translation 0 first, so a tie keeps it
+        starts = [p, np.r_[_centroid(moving) - _centroid(fixed), p[3:]]]
     for factor, sweeps in zip(config.shrink_factors, config.linear_iters):
         f_l = _downsample(fixed, factor)
         m_l = _downsample(moving, factor)
-        mi = _MiCost(f_l, m_l, _MI_BINS, _MAX_METRIC_SAMPLES)
+        mi = _MiCost(f_l, m_l)
 
         def cost(q):
-            return mi(AffineTransform(_params_to_matrix(q, center, n_params)))
+            return mi(_params_to_matrix(q, center, n_params))
 
-        if start is not None and cost(start) < cost(p):  # a tie keeps translation 0
-            p = start
-        start = None
         steps = np.empty(n_params)
         steps[:3] = float(np.max(f_l.geometry.spacing))
         steps[3:6] = 0.04 * factor
@@ -353,11 +347,12 @@ def _register_linear(fixed, moving, config, n_params, p0=None):
             steps[9:12] = 0.02 * factor
         p, _ = _coordinate_descent(
             cost,
-            p,
+            starts,
             steps,
             _min_steps(f_l.geometry, center, n_params),
             sweeps,
         )
+        starts = [p]
     return AffineTransform(_params_to_matrix(p, center, n_params)), p
 
 
@@ -377,7 +372,7 @@ def register_affine(fixed: VolumeGrid, moving: VolumeGrid):
 # --- deformable (LNCC demons) ---
 
 
-def _local_sums(arr, radius):
+def _local_means(arr, radius):
     return uniform_filter(arr, size=2 * radius + 1, mode="nearest")
 
 
@@ -385,13 +380,13 @@ def _lncc_force(fixed_terms, warped_data, radius, ainv3):
     """Ascent direction of local normalized cross-correlation w.r.t. displacement.
 
     fixed_terms is (f, b, eps) of the fixed image, which depend only on the
-    pyramid level: f its deviation from the local mean, b the local sum of
+    pyramid level: f its deviation from the local mean, b the local mean of
     f * f and eps the denominator floor, (1e-3 * ptp) ** 4.
     """
     f, b, eps = fixed_terms
-    m = warped_data - _local_sums(warped_data, radius)
-    a = _local_sums(f * m, radius)
-    c = _local_sums(m * m, radius)
+    m = warped_data - _local_means(warped_data, radius)
+    a = _local_means(f * m, radius)
+    c = _local_means(m * m, radius)
     denom = b * c
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = np.where(denom > eps, 2.0 * a / denom, 0.0)
@@ -422,7 +417,7 @@ def register_deformable(
     a zero force ends the level early. The Jacobian check reads psi.
     """
     config = config or RegConfig()
-    _check_linear_inputs(fixed, moving)
+    _check_intensities(fixed, moving)
     if sum(config.deform_iters) == 0:
         return DeformationField.zero(fixed.geometry)
     field = None
@@ -433,9 +428,9 @@ def register_deformable(
         pts = geom.grid_world()  # held for the level, so every user of the lattice shares it
         field = DeformationField.zero(geom) if field is None else resample_field(field, geom)
         ainv3 = np.linalg.inv(geom.affine[:3, :3])
-        f = f_l.data - _local_sums(f_l.data, _CC_RADIUS)
+        f = f_l.data - _local_means(f_l.data, _CC_RADIUS)
         eps = max((1e-3 * float(np.ptp(f_l.data))) ** 4, 1e-30)
-        fixed_terms = (f, _local_sums(f * f, _CC_RADIUS), eps)
+        fixed_terms = (f, _local_means(f * f, _CC_RADIUS), eps)
         step = _STEP_LENGTH * float(np.min(geom.spacing))
         for _ in range(iters):
             warped_pts = pts + field.disp.reshape(-1, 3)

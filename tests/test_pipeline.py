@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from atlasfuse import cli, imgio, pipeline
+from atlasfuse import cli, imgio, pipeline, register
 from atlasfuse.cli import main
 from atlasfuse.errors import FoldingDetected, UsageError
 from atlasfuse.fusion import majority_vote
@@ -269,13 +269,15 @@ def unmoved_segmentation(tmp_path_factory, off_template_lattice):
 
 @pytest.mark.parametrize(
     "shift",
-    [(3.0, 0.0, 0.0), (7.0, -5.0, 4.0), (15.0, -10.0, 8.0), (25.0, -15.0, 12.0)],
+    [(3.0, 0.0, 0.0), (7.0, -5.0, 4.0), (15.0, -10.0, 8.0), (25.0, -15.0, 12.0), (29.0, 0.0, 0.0), (60.0, -20.0, 10.0)],
     ids=lambda t: "{:g},{:g},{:g}mm".format(*t),
 )
 def test_segment_displaced_anatomy(tmp_path, off_template_lattice, unmoved_segmentation, shift):
-    """The 32^3-box subject stored under a header shifted by up to 31 mm, which
+    """The 32^3-box subject stored under a header shifted by 3 to 64 mm, which
     moves its anatomy off the template, segments voxel for voxel as the unmoved
-    subject does and meets criterion 6's Dice tiers."""
+    subject does and meets criterion 6's Dice tiers. At (29, 0, 0) mm the input's
+    crop and the template crop have disjoint world boxes, and at (60, -20, 10) mm
+    so do the input and the template."""
     env = off_template_lattice
     affine = env["subject"].geometry.affine.copy()
     affine[:3, 3] += shift
@@ -629,6 +631,26 @@ def test_cli_exit_codes(tmp_path):
     assert main(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["segment", "--fusion", "bogus"], ["segment", "--workers", "two"], ["frobnicate"], ["segment"], []],
+    ids=["bad-choice", "bad-int", "unknown-command", "missing-options", "no-command"],
+)
+def test_cli_argparse_error_is_one_json_line(capsys, argv):
+    """An argument argparse rejects is a usage error reported as one JSON line, exit 1."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert json.loads(err[0])["status"] == "error" and json.loads(err[0])["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["segment", "--help"]])
+def test_cli_help_and_version_exit_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+
+
 def test_cli_eval_geometry_mismatch_exit_2_and_cleanup(tmp_path, base):
     _, truth, _ = base
     box = label_bounding_box(truth, margin=3)
@@ -652,6 +674,19 @@ def test_cli_eval_label_not_in_scheme_exits_2(tmp_path, capsys):
     assert main(["eval", "--seg-a", pa, "--seg-b", pa, "--out-dir", str(out_dir)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["message"]) == ("GeometryMismatch", "codes not in scheme: [999]")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("given", [[], ["--intensity-a"], ["--intensity-b"]], ids=["neither", "only-a", "only-b"])
+def test_cli_eval_align_without_both_intensities_exits_1(tmp_path, capsys, warp_free, given):
+    """--align registers intensity A onto B, so it needs both volumes: a usage error, nothing written."""
+    seg = str(tmp_path / "seg.nii.gz")
+    imgio.write_volume(warp_free["truth"], seg)
+    out_dir = tmp_path / "eval"
+    args = ["eval", "--seg-a", seg, "--seg-b", seg, "--out-dir", str(out_dir), "--align"]
+    assert main(args + [opt for name in given for opt in (name, warp_free["input"])]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "UsageError"
     assert not out_dir.exists()
 
 
@@ -835,6 +870,20 @@ def test_cli_segment_warp_with_a_nan_exits_2(tmp_path, capsys, atlas_env, where)
     assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("rows", ["s0,1,X,0.9\n", "s0,1,X,0.9\ns1,1,X,\n"], ids=["one-subject", "one-pair"])
+def test_cli_stats_fewer_than_two_pairs_exits_2(tmp_path, capsys, rows):
+    """A label with fewer than 2 paired subjects has no paired t-test: InsufficientSubjects,
+    exit 2, and no output written."""
+    (tmp_path / "a.csv").write_text(_STATS_HEADER + rows)
+    (tmp_path / "b.csv").write_text(_STATS_HEADER + rows.replace("0.9", "0.8"))
+    out_csv = tmp_path / "stats.csv"
+    args = ["stats", "--csv-a", str(tmp_path / "a.csv"), "--csv-b", str(tmp_path / "b.csv"), "--out", str(out_csv)]
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "InsufficientSubjects"
+    assert not out_csv.exists()
+
+
 def test_stats_empty_cell_is_a_missing_value(tmp_path):
     """An empty metric cell drops that subject's pair; the other pairs are tested."""
     (tmp_path / "a.csv").write_text(_STATS_HEADER + "s0,1,X,0.9\ns1,1,X,\ns2,1,X,0.7\ns3,1,X,0.6\n")
@@ -934,15 +983,17 @@ BROKEN_LIBRARY = {
     "uncached-prior-off-the-template": (
         lambda lib: _move_prior(lib / "priors" / "prior00", (12.0, -8.0, 5.0)), "GeometryMismatch"
     ),
+    "no-priors-directory": (lambda lib: shutil.rmtree(lib / "priors"), "MissingFile"),
+    "empty-priors-directory": (lambda lib: shutil.rmtree(lib / "priors") or (lib / "priors").mkdir(), "MissingFile"),
 }
 
 
 @pytest.mark.parametrize("case", BROKEN_LIBRARY)
 def test_segment_broken_library_exits_2(tmp_path, capsys, warp_free, case):
     """A library whose cropbox.json or scheme.json is missing or malformed, whose crop
-    box misses the template, whose prior labels hold a code its scheme lacks, or whose
-    prior without a cached warp is off the template's lattice, is a data error, not a
-    traceback."""
+    box misses the template, whose prior labels hold a code its scheme lacks, whose
+    prior without a cached warp is off the template's lattice, or that holds no prior,
+    is a data error, not a traceback."""
     breaker, error = BROKEN_LIBRARY[case]
     lib = tmp_path / "atlas"
     shutil.copytree(warp_free["atlas"], lib)
@@ -1029,6 +1080,20 @@ def test_segment_single_slice_input_exits_2(tmp_path, capsys, warp_free):
     assert main(args + ["--fusion", "mv"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "DegenerateInput"
+    assert not out_dir.exists()
+
+
+def test_segment_folding_deformable_result_exits_3(tmp_path, capsys, monkeypatch, warp_free):
+    """register_deformable's own Jacobian check: a result whose positive-Jacobian fraction
+    is below the threshold is FoldingDetected, exit 3, one JSON line and no output
+    directory. No fraction reaches 1.5, so every deformable result fails it."""
+    monkeypatch.setattr(register, "_JACOBIAN_THRESHOLD", 1.5)
+    out_dir = tmp_path / "o"
+    args = ["segment", "--input", warp_free["input"], "--atlas", warp_free["atlas"], "--out-dir", str(out_dir)]
+    assert main(args + ["--fusion", "mv"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "FoldingDetected"
+    assert "below 1.5" in json.loads(err[0])["message"]
     assert not out_dir.exists()
 
 

@@ -11,10 +11,9 @@ from atlasfuse import register
 from atlasfuse.errors import (
     DegenerateInput,
     InversionDiverged,
-    NoOverlap,
     NonInvertibleTransform,
 )
-from atlasfuse.grid import Geometry, LabelVolume, VolumeGrid, crop, label_bounding_box, resample
+from atlasfuse.grid import CropBox, Geometry, LabelVolume, VolumeGrid, crop, label_bounding_box, resample
 from atlasfuse.phantom import WarpSpec, random_diffeo
 from atlasfuse.register import (
     AffineTransform,
@@ -332,14 +331,40 @@ def test_non_finite_intensity_rejected(base, side, value):
         register_deformable(images["fixed"], images["moving"])
 
 
-def test_no_overlap_rejected():
-    rng = np.random.default_rng(8)
-    a = VolumeGrid(rng.standard_normal((8, 8, 8)), np.eye(4))
-    far = np.eye(4)
-    far[:3, 3] = (500.0, 0.0, 0.0)
-    b = VolumeGrid(rng.standard_normal((8, 8, 8)), far)
-    with pytest.raises(NoOverlap):
-        register_rigid(a, b)
+@pytest.mark.parametrize("shift", [(200.0, 0.0, 0.0), (-150.0, 90.0, 40.0)], ids=lambda t: "{:g},{:g},{:g}mm".format(*t))
+def test_rigid_recovers_a_far_header_translation(base, shift):
+    """The 32^3 box stored under a header moved so far that its world box and the
+    unmoved one's are disjoint: the centroid start places it, and the search ends on
+    the negated translation with an identity rotation block."""
+    wmn, _, _ = base
+    box = crop(wmn, CropBox((3, 1, 7), (34, 32, 38)))
+    t = register_rigid(_header_shifted(box, shift), box)
+    assert np.allclose(t.matrix[:3, :3], np.eye(3), rtol=0, atol=1e-9)
+    assert np.allclose(t.matrix[:3, 3], -np.asarray(shift), rtol=0, atol=1e-9)
+
+
+def test_rigid_never_scores_a_trial_twice(base, monkeypatch):
+    """Both starts go through the search's memo, so one register_rigid call scores
+    each (pyramid level, trial matrix) once."""
+    costs = []
+
+    class Recording(_MiCost):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.seen = []
+            costs.append(self)
+
+        def __call__(self, matrix):
+            self.seen.append(matrix.tobytes())
+            return super().__call__(matrix)
+
+    monkeypatch.setattr(register, "_MiCost", Recording)
+    wmn, _, _ = base
+    box = crop(wmn, CropBox((3, 1, 7), (34, 32, 38)))
+    register_rigid(_header_shifted(box, (7.0, -5.0, 4.0)), box)
+    assert len(costs) == len(RegConfig().shrink_factors)
+    for cost in costs:
+        assert cost.seen and len(cost.seen) == len(set(cost.seen))
 
 
 def test_deformable_self_registration_small(base):
@@ -698,7 +723,7 @@ def test_mi_samples_at_most_sixteen_per_histogram_cell(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mi_cost_matches_gather_reference(seed):
     fixed, moving = _mi_pair(seed)
-    cost = _MiCost(fixed, moving, 32, 50000)
+    cost = _MiCost(fixed, moving)
     center = fixed.geometry.grid_world().mean(axis=0)
     rng = np.random.default_rng(100 + seed)
     full = partial = empty = 0
@@ -711,18 +736,18 @@ def test_mi_cost_matches_gather_reference(seed):
             full += n_valid == len(idx)
             partial += 100 <= n_valid < len(idx)
             empty += n_valid < 100
-            assert cost(t) == _reference_mi(cost, t)
+            assert cost(t.matrix) == _reference_mi(cost, t)
     # a moving image that covers the fixed one gives the full-overlap case
     big = VolumeGrid(gaussian_filter(rng.standard_normal((30, 30, 30)), 2.0), np.eye(4))
-    big_cost = _MiCost(fixed, big, 32, 50000)
+    big_cost = _MiCost(fixed, big)
     for _ in range(8):
         p = np.r_[rng.uniform(-1.0, 1.0, 3), rng.uniform(-0.05, 0.05, 3)]
         t = AffineTransform(_params_to_matrix(p, center, 6))
         full += 1
-        assert big_cost(t) == _reference_mi(big_cost, t)
+        assert big_cost(t.matrix) == _reference_mi(big_cost, t)
     assert partial and empty and full
     far = AffineTransform(_params_to_matrix(np.r_[100.0, 0, 0, 0, 0, 0], center, 6))
-    assert cost(far) == _reference_mi(cost, far) == 1.0
+    assert cost(far.matrix) == _reference_mi(cost, far) == 1.0
 
 
 def test_mi_cost_on_the_lattice_edge():
@@ -734,7 +759,7 @@ def test_mi_cost_on_the_lattice_edge():
     data = gaussian_filter(rng.standard_normal((12, 11, 10)), 1.0)
     data[-1, -1, -1] = max(data.max(), fixed.data.max()) + 1.0
     moving = VolumeGrid(data, np.eye(4))
-    cost = _MiCost(fixed, moving, 32, 50000)
+    cost = _MiCost(fixed, moving)
     x = cost.idx[:3]  # identity affines: the samples' fixed indices are their world points
     lo, hi = x.min(axis=1), x.max(axis=1)
     top = np.array(moving.geometry.dims, dtype=float) - 1
@@ -757,13 +782,13 @@ def test_mi_cost_on_the_lattice_edge():
             assert np.all(idx[edge, axis] == at[axis])
             inside = moving.geometry.contains_index(idx)
             assert edge.any() and np.all(inside[edge] == counted)
-            assert np.array_equal(cost.moving_bins(transform) < cost.bins, inside)
-            assert cost(transform) == _reference_mi(cost, transform)
+            assert np.array_equal(cost.moving_bins(transform.matrix) < cost.bins, inside)
+            assert cost(transform.matrix) == _reference_mi(cost, transform)
     corner = _translation(top - hi)  # the last sample lands on the moving lattice's last voxel
     idx, _ = _moving_index(cost, corner)
     assert np.array_equal(idx[-1], top)
-    assert cost.moving_bins(corner)[-1] == cost.bins - 1
-    assert cost(corner) == _reference_mi(cost, corner)
+    assert cost.moving_bins(corner.matrix)[-1] == cost.bins - 1
+    assert cost(corner.matrix) == _reference_mi(cost, corner)
 
 
 class _CountingCost:
@@ -789,11 +814,11 @@ def test_coordinate_descent_never_repeats_a_trial(which):
         args = (np.zeros(6), np.full(6, 0.5), np.full(6, 1e-3), 60)
     else:
         fixed, moving = _mi_pair(3)
-        mi = _MiCost(fixed, moving, 32, 50000)
+        mi = _MiCost(fixed, moving)
         center = fixed.geometry.grid_world().mean(axis=0)
 
         def cost(q):
-            return mi(AffineTransform(_params_to_matrix(q, center, 6)))
+            return mi(_params_to_matrix(q, center, 6))
 
         steps = np.r_[np.ones(3), np.full(3, 0.08)]
         mins = np.r_[np.full(3, 0.02), np.full(3, 5e-4)]
@@ -801,7 +826,7 @@ def test_coordinate_descent_never_repeats_a_trial(which):
     plain = _CountingCost(cost)
     want_p, want_f = _reference_descent(plain, *args)
     counted = _CountingCost(cost)
-    got_p, got_f = _coordinate_descent(counted, *args)
+    got_p, got_f = _coordinate_descent(counted, [args[0]], *args[1:])
     assert np.array_equal(got_p, want_p)
     assert got_f == want_f
     assert len(counted.seen) == len(set(counted.seen))
@@ -809,16 +834,26 @@ def test_coordinate_descent_never_repeats_a_trial(which):
     assert len(set(plain.seen)) == len(counted.seen) < len(plain.seen)
 
 
+def test_coordinate_descent_starts_from_the_first_least_cost_start():
+    """Of several starts the search descends from the one with the least cost, the
+    first of equal ones; with no sweep it returns that start and its cost."""
+    cost = _CountingCost(lambda q: float(abs(q[0] - 2.0)))
+    starts = [np.array([0.0]), np.array([4.0]), np.array([3.0]), np.array([1.0])]
+    p, f = _coordinate_descent(cost, starts, np.ones(1), np.ones(1), 0)
+    assert np.array_equal(p, [3.0]) and f == 1.0
+    assert len(cost.seen) == len(set(cost.seen)) == 4
+
+
 # --- demons loop against a plain fixed-step loop ---
 
 
 def _reference_lncc_force(fixed_data, warped_data, radius, ainv3):
     """_lncc_force computing the fixed image's terms on every call."""
-    f = fixed_data - register._local_sums(fixed_data, radius)
-    m = warped_data - register._local_sums(warped_data, radius)
-    a = register._local_sums(f * m, radius)
-    b = register._local_sums(f * f, radius)
-    c = register._local_sums(m * m, radius)
+    f = fixed_data - register._local_means(fixed_data, radius)
+    m = warped_data - register._local_means(warped_data, radius)
+    a = register._local_means(f * m, radius)
+    b = register._local_means(f * f, radius)
+    c = register._local_means(m * m, radius)
     denom = b * c
     scale = float(np.ptp(fixed_data))
     eps = max((1e-3 * scale) ** 4, 1e-30)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import weakref
 from dataclasses import dataclass
 from importlib import resources
 
@@ -137,17 +136,14 @@ class Geometry:
     def grid_world(self) -> np.ndarray:
         """World coordinates of every voxel center, shape (nvox, 3), C order, read-only.
 
-        The lattice holds the grid weakly: calls return the same array for as
-        long as a caller keeps one, so a loop that holds it builds it once,
-        while a lattice that outlives its users keeps no 24 bytes a voxel.
+        Built on the first call and kept with the lattice. Two threads that ask a fresh
+        lattice at once may each build it; the arrays are read-only and bit-identical.
         """
-        ref = getattr(self, "_grid", None)
-        grid = None if ref is None else ref()
-        if grid is None:
+        if not hasattr(self, "_grid"):
             grid = self._voxel_centers()
             grid.flags.writeable = False
-            object.__setattr__(self, "_grid", weakref.ref(grid))
-        return grid
+            object.__setattr__(self, "_grid", grid)
+        return self._grid
 
     def _voxel_centers(self) -> np.ndarray:
         ii, jj, kk = np.meshgrid(

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import JacobianViolation, OverlappingNuclei, GeometryMismatch
-from .grid import DeformationField, Geometry, LabelVolume, VolumeGrid, default_scheme, label_bounding_box, sq_norms
+from .grid import DeformationField, Geometry, LabelVolume, VolumeGrid, _is_int, default_scheme, label_bounding_box, sq_norms
 from .library import AtlasLibrary, AtlasPrior
 from .register import _smooth_field, invert_field
 from . import grid as _grid
@@ -33,6 +33,7 @@ class PhantomSpec:
     noise_sigma: float = 0.0  # fraction of the T1 range
 
     def __post_init__(self):
+        _check_seed(self.seed)
         _check_amplitude("noise_sigma", self.noise_sigma)
 
 
@@ -44,7 +45,13 @@ class WarpSpec:
     edge_taper_voxels: int = 8  # displacements fade to 0 at the lattice boundary
 
     def __post_init__(self):
+        _check_seed(self.seed)
         _check_amplitude("max_displacement_mm", self.max_displacement_mm)
+
+
+def _check_seed(value):
+    if not (_is_int(value) and value >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {value!r}")
 
 
 def _check_amplitude(name, value):

@@ -187,9 +187,6 @@ def run_segment(
 
     with _registrations(input_vol, lib, t_crop, config, true_warp_path, n_workers) as (registered, to_template):
         in_box, in_crop, rigid, psi = registered
-        # held until fusion: the inverse's resample and each prior's compose and
-        # warps share one voxel-centre grid of the input crop (Geometry.grid_world)
-        in_grid = in_crop.geometry.grid_world()
         inv = resample_field(invert_field(psi), in_crop.geometry, rigid)
         warped_labels, warped_ints = [], []
         for prior, field in zip(lib.priors, to_template):
@@ -197,7 +194,6 @@ def run_segment(
             warped_labels.append(warp_labels(prior.labels, total, in_crop.geometry))
             if fusion == "jlf":  # majority voting reads labels only
                 warped_ints.append(resample(prior.intensity, in_crop.geometry, total))
-    del in_grid
 
     if fusion == "mv":
         seg_crop = majority_vote(warped_labels)
@@ -246,12 +242,12 @@ def run_eval(
     subject_id="",
 ):
     """Compare two labelmaps in the default scheme; optional affine alignment of A onto B's grid."""
+    if align and not (intensity_a_path and intensity_b_path):
+        raise UsageError("--align requires both intensity volumes")
     scheme = default_scheme()
     seg_a = imgio.read_volume(seg_a_path, as_labels=True, scheme=scheme)
     seg_b = imgio.read_volume(seg_b_path, as_labels=True, scheme=scheme)
     if align:
-        if not (intensity_a_path and intensity_b_path):
-            raise UsageError("--align requires both intensity volumes")
         int_a = imgio.read_volume(intensity_a_path)
         int_b = imgio.read_volume(intensity_b_path)
         aff = register_affine(int_b, int_a)

@@ -409,7 +409,7 @@ def register_deformable(
     config: RegConfig | None = None,
 ) -> DeformationField:
     """Diffeomorphic-demons-style registration; returns the residual psi on the finest level's
-    lattice, which is fixed's own only when the last shrink factor is 1.
+    lattice, which is fixed's own only when the last shrink factor is 1 or every deform_iters is 0.
 
     The map is init(x + psi(x)), or x + psi(x) without init. psi starts at
     zero and each update composes into it alone. Each pyramid level composes
@@ -425,7 +425,7 @@ def register_deformable(
         f_l = _downsample(fixed, factor)
         m_l = _downsample(moving, factor)
         geom = f_l.geometry
-        pts = geom.grid_world()  # held for the level, so every user of the lattice shares it
+        pts = geom.grid_world()
         field = DeformationField.zero(geom) if field is None else resample_field(field, geom)
         ainv3 = np.linalg.inv(geom.affine[:3, :3])
         f = f_l.data - _local_means(f_l.data, _CC_RADIUS)

@@ -1,5 +1,7 @@
 """Geometry, resampling, cropping and label-scheme behavior."""
 
+import pickle
+import threading
 import warnings
 import weakref
 
@@ -181,19 +183,55 @@ def test_lattice_arrays_are_read_only():
             np.add(arr, 1.0, out=arr)
 
 
-def test_grid_world_is_shared_while_held_and_not_kept():
-    """Calls share one grid while a caller holds it; the lattice itself does not keep it."""
-    aff = _random_affine(np.random.default_rng(8), "mirrored")
-    geom = Geometry((6, 7, 8), aff)
-    grid = geom.grid_world()
-    assert geom.grid_world() is grid
+def _voxel_centres_by_formula(geom):
     idx = np.stack(np.meshgrid(*(np.arange(d) for d in geom.dims), indexing="ij"), axis=-1).reshape(-1, 3)
-    assert np.array_equal(grid, idx @ aff[:3, :3].T + aff[:3, 3])
+    return idx @ geom.affine[:3, :3].T + geom.affine[:3, 3]
+
+
+def test_grid_world_is_built_once_and_kept():
+    """The lattice keeps its grid: a later call returns the same read-only array
+    after the caller has dropped its own reference."""
+    geom = Geometry((6, 7, 8), _random_affine(np.random.default_rng(8), "mirrored"))
+    grid = geom.grid_world()
+    assert not grid.flags.writeable
+    assert np.array_equal(grid, _voxel_centres_by_formula(geom))
     center = grid.mean(axis=0)  # what the linear registration takes as its rotation center
     ref = weakref.ref(grid)
     del grid
-    assert ref() is None
+    assert ref() is not None and geom.grid_world() is ref()
     assert np.array_equal(geom.grid_world().mean(axis=0), center)
+
+
+def test_a_geometry_pickles_after_building_its_grid():
+    geom = Geometry((6, 7, 8), _random_affine(np.random.default_rng(9), "oblique"))
+    grid = geom.grid_world()
+    copy = pickle.loads(pickle.dumps(geom))
+    assert copy.dims == geom.dims and np.array_equal(copy.affine, geom.affine)
+    assert np.array_equal(copy.grid_world(), grid)
+
+
+def test_two_threads_asking_a_fresh_lattice_get_the_single_thread_grid():
+    """Two threads may each build a fresh lattice's grid at once: both arrays are
+    read-only and bit-equal to one built alone, and the lattice keeps one of them."""
+    dims, aff = (40, 41, 42), _random_affine(np.random.default_rng(10), "anisotropic")
+    alone = Geometry(dims, aff).grid_world()
+    geom = Geometry(dims, aff)
+    barrier = threading.Barrier(2, timeout=30)
+    got = [None, None]
+
+    def ask(i):
+        barrier.wait()
+        got[i] = geom.grid_world()
+
+    threads = [threading.Thread(target=ask, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for grid in got:
+        assert grid is not None and not grid.flags.writeable
+        assert np.array_equal(grid, alone)
+    assert any(geom.grid_world() is grid for grid in got)
 
 
 _TINY = np.finfo(float).smallest_subnormal

@@ -160,6 +160,14 @@ def test_specs_reject_non_finite_or_negative_amplitudes(value):
         WarpSpec(max_displacement_mm=value)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_specs_reject_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="seed"):
+        PhantomSpec(seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        WarpSpec(seed=seed)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
 def test_derived_images_reject_non_finite_or_negative_noise(base, value):
     wmn, truth, _ = base

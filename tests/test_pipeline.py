@@ -490,18 +490,29 @@ def test_majority_voting_warps_no_prior_intensities(tmp_path, atlas_env, monkeyp
     assert len(resampled) == 5
 
 
-@pytest.mark.parametrize("fusion", ["mv", "jlf"])
-def test_segment_builds_the_input_crop_grid_once(tmp_path, atlas_env, monkeypatch, fusion):
-    """The inverse's resample and each prior's compose and warps share one
-    voxel-centre grid of the input crop."""
+@pytest.mark.parametrize("case", ["input-mv", "input-jlf", "template-warp-free"])
+def test_segment_builds_each_crop_grid_once(tmp_path, request, monkeypatch, case):
+    """Every step onto a crop's lattice shares one voxel-centre grid of it: the input
+    crop's for the inverse's resample and each prior's compose and warps, and the
+    template crop's for each registration's finest level and the inversion."""
     built = []
     real_voxel_centers = Geometry._voxel_centers
     monkeypatch.setattr(Geometry, "_voxel_centers", lambda g: built.append(g) or real_voxel_centers(g))
-    kwargs = dict(fusion=fusion, true_warp_path=atlas_env["subject_warp"])
-    out = run_segment(atlas_env["subject"], atlas_env["atlas"], str(tmp_path / "o"), **kwargs)
-    box = CropBox.from_dict(json.load(open(out["manifest"]))["notes"]["crop_box_input"])
-    in_crop = crop(imgio.read_volume(atlas_env["subject"]), box).geometry
-    assert sum(g.close_to(in_crop) for g in built) == 1
+    if case == "template-warp-free":
+        env = request.getfixturevalue("warp_free")
+        _segment_warp_free(env, tmp_path / "o", 1)
+        lib = AtlasLibrary.load(env["atlas"])
+        lattice = crop(lib.template, lib.crop_box).geometry
+        crops = 2  # this input lies on the template's lattice, so its crop is a second such lattice
+    else:
+        env = request.getfixturevalue("atlas_env")
+        kwargs = dict(fusion=case.split("-")[1], true_warp_path=env["subject_warp"])
+        out = run_segment(env["subject"], env["atlas"], str(tmp_path / "o"), **kwargs)
+        box = CropBox.from_dict(json.load(open(out["manifest"]))["notes"]["crop_box_input"])
+        lattice = crop(imgio.read_volume(env["subject"]), box).geometry
+        crops = 1
+    builds = [g for g in built if g.close_to(lattice)]  # built keeps each alive, so no id is reused
+    assert len(builds) == len({id(g) for g in builds}) == crops
 
 
 def test_segment_bad_mode_rejected(tmp_path, atlas_env):
@@ -677,11 +688,17 @@ def test_cli_eval_label_not_in_scheme_exits_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("given", [[], ["--intensity-a"], ["--intensity-b"]], ids=["neither", "only-a", "only-b"])
-def test_cli_eval_align_without_both_intensities_exits_1(tmp_path, capsys, warp_free, given):
-    """--align registers intensity A onto B, so it needs both volumes: a usage error, nothing written."""
+@pytest.mark.parametrize(
+    "given, seg_exists",
+    [([], True), (["--intensity-a"], True), (["--intensity-b"], True), ([], False)],
+    ids=["neither", "only-a", "only-b", "missing-labelmaps"],
+)
+def test_cli_eval_align_without_both_intensities_exits_1(tmp_path, capsys, warp_free, given, seg_exists):
+    """--align registers intensity A onto B, so it needs both volumes: a usage error,
+    checked before any labelmap is read, and nothing written."""
     seg = str(tmp_path / "seg.nii.gz")
-    imgio.write_volume(warp_free["truth"], seg)
+    if seg_exists:
+        imgio.write_volume(warp_free["truth"], seg)
     out_dir = tmp_path / "eval"
     args = ["eval", "--seg-a", seg, "--seg-b", seg, "--out-dir", str(out_dir), "--align"]
     assert main(args + [opt for name in given for opt in (name, warp_free["input"])]) == 1
@@ -744,7 +761,7 @@ def test_cli_phantom_then_segment_with_true_warp(tmp_path):
     "option, value",
     [
         ("--max-warp-mm", "nan"), ("--max-warp-mm", "inf"), ("--max-warp-mm", "-1"), ("--noise", "-0.5"), ("--noise", "nan"),
-        ("--n-atlases", "0"), ("--n-atlases", "-1"),
+        ("--n-atlases", "0"), ("--n-atlases", "-1"), ("--seed", "-1"),
     ],
 )
 def test_cli_phantom_bad_amplitude_exits_1_before_building(tmp_path, monkeypatch, option, value):

@@ -96,12 +96,15 @@ class AffineTransform:
         return AffineTransform(np.linalg.inv(self.matrix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Geometry:
     """Lattice description: voxel counts and the index->world affine (mm).
 
     Its point maps are the AffineTransform of the affine and that transform's
     inverse, and ``affine`` is its read-only matrix: neither map can go stale.
+    ``==`` is identity, as an array field gives no truth value; close_to
+    compares two lattices. A pickled lattice is rebuilt by its constructor,
+    so it carries no grid and its arrays are read-only again.
     """
 
     dims: tuple
@@ -116,6 +119,9 @@ class Geometry:
         object.__setattr__(self, "_to_world", AffineTransform(self.affine))
         object.__setattr__(self, "affine", self._to_world.matrix)
         object.__setattr__(self, "_to_index", self._to_world.inverse())
+
+    def __reduce__(self):
+        return (Geometry, (self.dims, self.affine))
 
     @property
     def spacing(self) -> np.ndarray:

@@ -32,14 +32,11 @@ from .errors import DegenerateInput, FoldingDetected, InversionDiverged
 from .grid import AffineTransform, DeformationField, Geometry, LabelVolume, VolumeGrid, _is_int, resample, sq_norms
 
 
-def resample_field(field: DeformationField, geometry: Geometry, affine: AffineTransform | None = None) -> DeformationField:
-    """field on geometry's lattice; with affine A, the field of y -> z + field(z) at z = A(y)."""
+def resample_field(field: DeformationField, geometry: Geometry, affine: AffineTransform) -> DeformationField:
+    """The field of y -> z + field(z) at z = affine(y), on geometry's lattice."""
     pts = geometry.grid_world()
-    if affine is None:
-        disp = field.sample_disp(pts)
-    else:
-        z = affine.map_points(pts)
-        disp = field.sample_disp(z) + (z - pts)
+    z = affine.map_points(pts)
+    disp = field.sample_disp(z) + (z - pts)
     return DeformationField(geometry, disp.reshape(geometry.dims + (3,)))
 
 
@@ -105,6 +102,13 @@ def warp_labels(labels: LabelVolume, transform, target_geometry: Geometry) -> La
 # The fixed registration recipe; only the pyramid is configurable (RegConfig).
 _MI_BINS = 32
 _MAX_METRIC_SAMPLES = 16 * _MI_BINS**2  # 16 samples per joint-histogram cell
+# past this ratio of intensity ranges, each image is binned over its own min..max. Shared edges
+# squeeze the smaller range into a few bins, and then MI is 0 for every trial. With shared edges,
+# the 32^3-box subject (bench crop) under a (25, -15, 12) mm header shift segments to x11 (range
+# ratios 10.9-11.5 over the three levels) and reads Dice 0 from x11.3 (11.2-11.8); the 64^3
+# fixture segments to x15 (15.3-16.7) and reads Dice 0 at x20. Own edges meet criterion 6's tiers
+# on the box from x0.001 to x1000, unmoved and shifted. Every bench pair lies within 1.05x
+_MI_SHARED_RANGE_RATIO = 10.0
 _CC_RADIUS = 2  # LNCC window half-width, voxels
 _SIGMA_UPDATE = 1.0  # smoothing of each demons update, voxels
 _SIGMA_TOTAL = 0.5  # smoothing of the accumulated field, voxels
@@ -140,17 +144,18 @@ class RegConfig:
 
 
 def _downsample(vol: VolumeGrid, factor: int) -> VolumeGrid:
-    """The image at one pyramid level; an axis of one voxel leaves no gradient or MI sample there."""
+    """The image at one pyramid level, smoothed and sliced: its voxel j is the image's voxel factor * j
+    (Burt & Adelson, IEEE TCOM 1983). An axis of one voxel leaves no gradient or MI sample there."""
     dims = tuple(int(np.ceil(d / factor)) for d in vol.geometry.dims)
     if min(dims) < 2:
         raise DegenerateInput(f"shrink factor {factor} leaves a {dims} lattice; each axis needs 2 voxels or more")
     if factor == 1:
         return vol
-    sm = gaussian_filter(vol.data, sigma=factor / 2.0, mode="nearest")
+    smoothed = gaussian_filter(vol.data, sigma=factor / 2.0, mode="nearest")
+    level = np.ascontiguousarray(smoothed[::factor, ::factor, ::factor])  # the copy frees the full-size image
     affine = vol.geometry.affine.copy()
     affine[:3, :3] *= factor
-    geom = Geometry(dims, affine)
-    return resample(vol.with_data(sm), geom)
+    return vol.with_data(level, Geometry(dims, affine))
 
 
 # --- mutual information ---
@@ -164,6 +169,8 @@ class _MiCost:
     inv(A_moving) T A_fixed, and interpolates there in scipy's constant mode:
     its NaN cval marks exactly the samples outside [0, d - 1] on some axis,
     Geometry.contains_index's rule, and inside it reads what nearest mode reads.
+    vmin and vrange are the moving image's bin edges: the joint min..max, or its
+    own past _MI_SHARED_RANGE_RATIO.
     """
 
     # constant sub-voxel sample offset: interpolating the fixed image too keeps
@@ -181,13 +188,17 @@ class _MiCost:
         self.idx = np.vstack([idx, np.ones(idx.shape[1])])  # (4, N)
         self.fixed_affine = fixed.geometry.affine
         self.moving_inv = np.linalg.inv(moving.geometry.affine)
-        # shared bin edges: identical intensities must land in identical bins,
-        # otherwise exact alignment is not the metric optimum
-        self.vmin = float(min(fixed.data.min(), moving.data.min()))
-        self.vrange = max(
-            float(max(fixed.data.max(), moving.data.max())) - self.vmin, 1e-30
-        )
-        fbin = np.clip(((fvals - self.vmin) / self.vrange * bins).astype(np.int64), 0, bins - 1)
+        # shared bin edges while the ranges are within _MI_SHARED_RANGE_RATIO: identical
+        # intensities must land in identical bins, otherwise exact alignment is not the metric optimum
+        flo, fhi = float(fixed.data.min()), float(fixed.data.max())
+        mlo, mhi = float(moving.data.min()), float(moving.data.max())
+        spans = (fhi - flo, mhi - mlo)
+        if max(spans) <= _MI_SHARED_RANGE_RATIO * min(spans):
+            flo = mlo = min(flo, mlo)
+            fhi = mhi = max(fhi, mhi)
+        frange = max(fhi - flo, 1e-30)
+        self.vmin, self.vrange = mlo, max(mhi - mlo, 1e-30)
+        fbin = np.clip(((fvals - flo) / frange * bins).astype(np.int64), 0, bins - 1)
         self.frow = fbin * (bins + 1)  # each sample's row offset in the flat joint histogram
         self.moving = moving
 
@@ -420,13 +431,18 @@ def register_deformable(
     _check_intensities(fixed, moving)
     if sum(config.deform_iters) == 0:
         return DeformationField.zero(fixed.geometry)
-    field = None
+    field = prev = None
     for factor, iters in zip(config.shrink_factors, config.deform_iters):
         f_l = _downsample(fixed, factor)
         m_l = _downsample(moving, factor)
         geom = f_l.geometry
         pts = geom.grid_world()
-        field = DeformationField.zero(geom) if field is None else resample_field(field, geom)
+        if field is None:
+            field = DeformationField.zero(geom)
+        else:  # by index, not through world mm, where an oblique far-face voxel can land past d - 1
+            index = np.indices(geom.dims).reshape(3, -1).T * factor / prev  # integer product first
+            field = DeformationField(geom, field._sample_index(index).reshape(geom.dims + (3,)))
+        prev = factor
         ainv3 = np.linalg.inv(geom.affine[:3, :3])
         f = f_l.data - _local_means(f_l.data, _CC_RADIUS)
         eps = max((1e-3 * float(np.ptp(f_l.data))) ** 4, 1e-30)

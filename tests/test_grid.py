@@ -175,8 +175,11 @@ def test_images_reach_their_lattice_only_through_geometry():
 
 
 def test_lattice_arrays_are_read_only():
+    """Also on a lattice unpickled after it built its grid."""
     geom, transform = Geometry((3, 4, 5), np.eye(4)), AffineTransform(np.eye(4))
-    for arr in (geom.affine, transform.matrix, geom.grid_world()):
+    geom.grid_world()
+    copy = pickle.loads(pickle.dumps(geom))
+    for arr in (geom.affine, transform.matrix, geom.grid_world(), copy.affine, copy.grid_world()):
         with pytest.raises(ValueError):
             arr[0, 0] = 5.0
         with pytest.raises(ValueError):
@@ -203,11 +206,24 @@ def test_grid_world_is_built_once_and_kept():
 
 
 def test_a_geometry_pickles_after_building_its_grid():
+    """A pickled lattice is its dims and affine: it carries no grid, and builds the same one."""
     geom = Geometry((6, 7, 8), _random_affine(np.random.default_rng(9), "oblique"))
     grid = geom.grid_world()
-    copy = pickle.loads(pickle.dumps(geom))
+    data = pickle.dumps(geom)
+    assert len(data) < grid.nbytes
+    copy = pickle.loads(data)
     assert copy.dims == geom.dims and np.array_equal(copy.affine, geom.affine)
+    assert not hasattr(copy, "_grid")
     assert np.array_equal(copy.grid_world(), grid)
+
+
+def test_geometry_equality_is_identity():
+    """Two equal but distinct lattices compare False and hash without raising; close_to compares them."""
+    aff = _random_affine(np.random.default_rng(11), "anisotropic")
+    a, b = Geometry((6, 7, 8), aff), Geometry((6, 7, 8), aff)
+    assert a == a and a != b and not (a == b)
+    assert len({a, b, a}) == 2
+    assert a.close_to(b) and b.close_to(a)
 
 
 def test_two_threads_asking_a_fresh_lattice_get_the_single_thread_grid():

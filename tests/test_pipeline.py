@@ -287,9 +287,47 @@ def test_segment_displaced_anatomy(tmp_path, off_template_lattice, unmoved_segme
     out = run_segment(str(tmp_path / "in.nii.gz"), env["atlas"], str(tmp_path / "out"))
     seg = imgio.read_volume(out["segmentation"], as_labels=True)
     assert np.array_equal(seg.data, unmoved_segmentation)
+    _assert_dice_tiers(seg, truth)
+
+
+def _assert_dice_tiers(seg, truth):
+    """Criterion 6's Dice tiers: 0.85 for a nucleus of 500 voxels or more, 0.60 below."""
     for code in (int(c) for c in np.unique(truth.data) if c != 0):
         n, d = int((truth.data == code).sum()), dice(seg, truth, code)
         assert d >= (0.85 if n >= 500 else 0.60), f"code {code}: dice {d:.3f} (n={n})"
+
+
+def _segment_scaled(root, env, scale, shift):
+    """The 32^3-box subject's intensities times scale, stored under a header shifted by
+    shift mm, segmented: its labels and its truth on the shifted lattice."""
+    affine = env["subject"].geometry.affine.copy()
+    affine[:3, 3] += shift
+    imgio.write_volume(VolumeGrid(env["subject"].data * scale, affine), str(root / "in.nii.gz"))
+    out = run_segment(str(root / "in.nii.gz"), env["atlas"], str(root / "out"))
+    return imgio.read_volume(out["segmentation"], as_labels=True), LabelVolume(env["truth"].data, affine)
+
+
+_SHIFT = (25.0, -15.0, 12.0)
+
+
+@pytest.mark.parametrize("shift", [(0.0, 0.0, 0.0), _SHIFT], ids=["unmoved", "25,-15,12mm"])
+def test_segment_scaled_intensities(tmp_path, off_template_lattice, shift):
+    """A scanner stores integers, so an input's range can be far from the template's
+    (-0.0066 to 0.375 here). The 32^3-box subject times 15, 30 and 1000, unmoved or
+    under a (25, -15, 12) mm header shift, gives one segmentation, which meets
+    criterion 6's Dice tiers."""
+    segs = []
+    for scale in (15.0, 30.0, 1000.0):
+        (tmp_path / str(scale)).mkdir()
+        seg, truth = _segment_scaled(tmp_path / str(scale), off_template_lattice, scale, shift)
+        _assert_dice_tiers(seg, truth)
+        segs.append(seg.data)
+    assert all(np.array_equal(segs[0], other) for other in segs[1:])
+
+
+def test_segment_scaled_intensities_small_and_displaced(tmp_path, off_template_lattice):
+    """The 32^3-box subject times 0.01 under the (25, -15, 12) mm header shift meets criterion 6's Dice tiers."""
+    _assert_dice_tiers(*_segment_scaled(tmp_path, off_template_lattice, 0.01, _SHIFT))
 
 
 # storage -> (flipped axis, axis permutation, labelled voxels that differ from the

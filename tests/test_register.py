@@ -13,7 +13,7 @@ from atlasfuse.errors import (
     InversionDiverged,
     NonInvertibleTransform,
 )
-from atlasfuse.grid import CropBox, Geometry, LabelVolume, VolumeGrid, crop, label_bounding_box, resample
+from atlasfuse.grid import CropBox, Geometry, LabelVolume, VolumeGrid, crop, label_bounding_box, resample, sq_norms
 from atlasfuse.phantom import WarpSpec, random_diffeo
 from atlasfuse.register import (
     AffineTransform,
@@ -102,19 +102,17 @@ def test_field_rejects_non_finite():
 
 def test_resample_field_exact_on_lattice():
     f = random_diffeo(WarpSpec(seed=3), GEOM16)
-    again = resample_field(f, GEOM16)
+    again = resample_field(f, GEOM16, AffineTransform.identity())
     assert np.allclose(again.disp, f.disp, atol=1e-12)
 
 
 def test_resample_field_through_an_affine_reads_at_the_mapped_point():
     """With an affine A, voxel y holds z + g(z) - y at z = A(y): a constant g under a
-    translation t reads g + t, and under the identity the bits are those without A."""
+    translation t reads g + t."""
     g = _const_field(GEOM16, (0.5, -0.25, 1.0))
     out = resample_field(g, GEOM16, _translation((1.0, 2.0, -1.0)))
     # interior only: A(y) leaves the lattice near the rim, where g reads 0
     assert np.allclose(out.disp[2:13, 1:13, 2:14], (1.5, 1.75, 0.0), atol=1e-12)
-    f = random_diffeo(WarpSpec(seed=3), GEOM16)
-    assert np.array_equal(resample_field(f, GEOM16, AffineTransform.identity()).disp, resample_field(f, GEOM16).disp)
 
 
 # --- compose / invert ---
@@ -692,6 +690,26 @@ def _mi_pair(seed):
     return fixed, moving
 
 
+# the pair's ranges differ by 1.08x unscaled, so x8 and x0.12 lie within 10x and x15 past it
+@pytest.mark.parametrize("scale, shared", [(3.0, True), (8.0, True), (0.3, True), (0.12, True),
+                                           (15.0, False), (30.0, False), (1000.0, False), (0.01, False)])
+def test_mi_bins_each_image_over_its_own_range_past_ten_times(scale, shared):
+    """Within 10x of each other, the two images share their bin edges, the joint min..max;
+    past it each is binned over its own min..max, so neither lands in a few bins."""
+    fixed, moving = _mi_pair(3)
+    moving = moving.with_data(moving.data * scale)
+    cost = _MiCost(fixed, moving)
+    fbins = cost.frow // (cost.bins + 1)
+    mbins = cost.moving_bins(np.eye(4))
+    mbins = mbins[mbins < cost.bins]
+    if shared:
+        lo = min(fixed.data.min(), moving.data.min())
+        assert cost.vmin == lo and cost.vrange == max(fixed.data.max(), moving.data.max()) - lo
+    else:
+        assert cost.vmin == moving.data.min() and cost.vrange == np.ptp(moving.data)
+        assert len(np.unique(fbins)) >= cost.bins // 2 and len(np.unique(mbins)) >= cost.bins // 2
+
+
 def test_mi_samples_at_most_sixteen_per_histogram_cell(monkeypatch):
     """Each level scores its fixed lattice's jittered voxel samples in flat order: all of
     them under 16 per joint-histogram cell, above that every stride-th with the least
@@ -865,6 +883,11 @@ def _reference_lncc_force(fixed_data, warped_data, radius, ainv3):
     return resid[..., None] * (gvox @ ainv3)
 
 
+def _voxel_indices(dims):
+    """Every voxel index of a lattice, shape (nvox, 3), C order."""
+    return np.stack(np.meshgrid(*(np.arange(d) for d in dims), indexing="ij"), axis=-1).reshape(-1, 3)
+
+
 def _reference_demons(fixed, moving, init, config, levels):
     """register_deformable's loop: deform_iters one-voxel steps per level on a
     residual that starts at zero, with moving sampled at init(x + psi(x)).
@@ -877,8 +900,12 @@ def _reference_demons(fixed, moving, init, config, levels):
         f_l = register._downsample(fixed, factor)
         m_l = register._downsample(moving, factor)
         geom = f_l.geometry
-        zero = DeformationField(geom, np.zeros(geom.dims + (3,)))
-        field = zero if field is None else resample_field(field, geom)
+        if field is None:
+            field = DeformationField(geom, np.zeros(geom.dims + (3,)))
+        else:  # voxel j of this level is voxel j * factor / prev of the last
+            disp = field._sample_index(_voxel_indices(geom.dims) * factor / prev)
+            field = DeformationField(geom, disp.reshape(geom.dims + (3,)))
+        prev = factor
         ainv3 = np.linalg.inv(geom.affine[:3, :3])
         pts = geom.grid_world()
         step = register._STEP_LENGTH * float(np.min(geom.spacing))
@@ -925,6 +952,45 @@ def test_demons_matches_reference_loop(base, case):
     got = register_deformable(fixed, moving, _translation(shift), config)
     assert np.array_equal(got.disp, want)
     assert levels == exits
+
+
+def _oblique(rng, spacing):
+    """A random rotation times diag(spacing), with a shift: an oblique, anisotropic lattice affine."""
+    rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    aff = np.eye(4)
+    aff[:3, :3] = rot * np.sign(np.linalg.det(rot)) @ np.diag(spacing)
+    aff[:3, 3] = rng.uniform(-100.0, 100.0, 3)
+    return aff
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("factor", [2, 3, 4])
+def test_pyramid_level_is_the_smoothed_image_sliced(seed, factor):
+    """A level's voxel j is the smoothed image's voxel factor * j on any lattice: no far-face
+    voxel reads 0 because mapping it through world mm lands a rounding error outside."""
+    rng = np.random.default_rng(seed)
+    vol = VolumeGrid(1.0 + rng.random((29, 31, 33)), _oblique(rng, rng.uniform(0.5, 2.0, 3)))
+    level = register._downsample(vol, factor)
+    want = gaussian_filter(vol.data, factor / 2.0, mode="nearest")[::factor, ::factor, ::factor]
+    assert level.data.shape == want.shape and np.array_equal(level.data, want)
+    assert level.data.min() > 0
+    assert np.array_equal(level.geometry.affine[:3, :3], vol.geometry.affine[:3, :3] * factor)
+    assert np.array_equal(level.geometry.affine[:3, 3], vol.geometry.affine[:3, 3])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_demons_moves_psi_to_the_next_level_by_index(base, seed):
+    """On an oblique lattice, shrink (2, 1) with no steps at the finer level returns the
+    (2,)-only psi read at j / 2: the coarse psi reaches every voxel inside its box."""
+    fixed, moving = _demons_pair(base, 1)
+    aff = _oblique(np.random.default_rng(seed), (1.0, 1.2, 0.9))
+    fixed, moving = VolumeGrid(fixed.data, aff), VolumeGrid(moving.data, aff)
+    coarse = register_deformable(fixed, moving, None, RegConfig((2,), (1,), (4,)))
+    fine = register_deformable(fixed, moving, None, RegConfig((2, 1), (1, 1), (4, 0)))
+    want = coarse._sample_index(_voxel_indices(fixed.geometry.dims) / 2.0).reshape(fixed.geometry.dims + (3,))
+    assert np.array_equal(fine.disp, want)
+    box = tuple(slice(0, 2 * d - 1) for d in coarse.geometry.dims)  # the fine voxels at or inside the coarse box
+    assert sq_norms(coarse.disp).min() > 0 and sq_norms(fine.disp[box]).min() > 0
 
 
 def test_demons_scores_one_force_per_step(base, monkeypatch):

@@ -19,9 +19,11 @@ import json
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import imgio
 from .atomic import atomic_open, make_dirs
-from .errors import DataError, GeometryMismatch, MissingFile
+from .errors import DataError, DegenerateInput, GeometryMismatch, MissingFile
 from .grid import CropBox, DeformationField, LabelScheme, LabelVolume, VolumeGrid
 
 
@@ -39,6 +41,14 @@ def read_data_file(path, parse):
         raise MissingFile(path) from e
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise DataError(f"cannot read {path}: {e!r}") from e
+
+
+def _read_intensity(path):
+    """The image at path; a non-finite voxel is DegenerateInput, as a cached warp would carry it into fusion."""
+    vol = imgio.read_volume(path)
+    if not np.isfinite(vol.data).all():
+        raise DegenerateInput(f"{path} has non-finite intensities")
+    return vol
 
 
 @dataclass
@@ -74,7 +84,7 @@ class AtlasLibrary:
 
     @classmethod
     def load(cls, atlas_dir) -> "AtlasLibrary":
-        template = imgio.read_volume(template_path(atlas_dir))
+        template = _read_intensity(template_path(atlas_dir))
         box = read_data_file(os.path.join(atlas_dir, "cropbox.json"), lambda f: CropBox.from_dict(json.load(f)))
         scheme = read_data_file(os.path.join(atlas_dir, "scheme.json"), lambda f: LabelScheme._from_rows(json.load(f)))
         priors = []
@@ -85,7 +95,7 @@ class AtlasLibrary:
             sub = os.path.join(pdir, pid)
             if not os.path.isdir(sub):
                 continue
-            intensity = imgio.read_volume(os.path.join(sub, "intensity.nii.gz"))
+            intensity = _read_intensity(os.path.join(sub, "intensity.nii.gz"))
             labels = imgio.read_volume(
                 os.path.join(sub, "labels.nii.gz"), as_labels=True, scheme=scheme
             )

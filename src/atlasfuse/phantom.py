@@ -220,18 +220,14 @@ def derive_atlases(
     return AtlasLibrary(template=template, crop_box=box, scheme=default_scheme(), priors=priors)
 
 
-def make_subject(
-    base,
-    seed: int = 12345,
-    warp_spec: WarpSpec | None = None,
-    noise_sigma: float = 0.01,
-):
+def make_subject(base, warp_spec: WarpSpec | None = None, noise_sigma: float = 0.01):
     """Held-out subject: (intensity, truth_labels, truth_warp_to_subject).
 
-    The returned field lives on the base grid and maps base/template points
-    into subject space, matching the cached prior-warp convention.
+    warp_spec's seed draws the warp, and the scan noise from that seed plus
+    700001. The returned field lives on the base grid and maps base/template
+    points into subject space, matching the cached prior-warp convention.
     """
-    ws = warp_spec or WarpSpec(seed=seed)
+    ws = warp_spec or WarpSpec()
     return _warped_copy(base, ws, noise_sigma, ws.seed + 700001)
 
 

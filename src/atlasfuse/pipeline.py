@@ -2,14 +2,15 @@
 
 Segmentation runs in two halves that meet at the template. The library half
 (``_prior_warp``) gives each prior's warp to the template and never reads the
-input. The input half (``_register_input``) aligns the template rigidly,
-transfers its crop box into the input, crops, and registers the cropped pair
-deformably, keeping the rigid map and the demons residual psi apart.
+input. The input half (``_register_input``) aligns the input rigidly to the
+template, composes that map into the input's header, transfers the template's
+crop box into the placed input, crops, and registers the cropped pair
+deformably: from the rigid stage on, the input lies in template space.
 ``_registrations`` runs both halves: inline with one worker, else as jobs on
 one pool of ``n_workers`` threads, the input's first. ``run_segment`` inverts
-psi alone and reads it through the rigid map, warps each prior through the
-template as its field arrives, fuses the labels, and uncrops the result into
-the input frame.
+psi onto the placed input crop, warps each prior through the template as its
+field arrives, fuses the labels, and pastes the result back by index, under
+the input's own header.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import __version__, imgio
 from .atomic import atomic_open, make_dirs
 from .errors import GeometryMismatch, InsufficientSubjects, RowMismatch, UsageError
 from .fusion import JlfParams, joint_label_fusion, majority_vote
-from .grid import AffineTransform, CropBox, _is_int, crop, default_scheme, resample, uncrop
+from .grid import AffineTransform, CropBox, Geometry, _is_int, crop, default_scheme, resample, uncrop
 from .library import AtlasLibrary, template_path
 from .metrics import (
     DEFAULT_COMPARISONS,
@@ -105,22 +106,21 @@ def _prior_warp(prior, t_crop, lib, config):
 
 def _register_input(input_vol, lib, t_crop, config, true_warp_path):
     """Rigid input->template, the crop box transfer and the deformable stage, with a true warp in
-    place of both registrations; returns the input crop box, the cropped input, the rigid map
-    and the residual psi (the template->input map is rigid^-1(x + psi(x))). A registered psi lies
+    place of both registrations; returns the input crop box, the input crop placed by the rigid
+    map in its header, and psi (the template->input map is x + psi(x)). A registered psi lies
     on the demons' finest level of the template crop, a true warp on its file's lattice."""
     if true_warp_path:
         rigid, psi = AffineTransform.identity(), imgio.read_field(true_warp_path)
     else:
         rigid, psi = register_rigid(input_vol, lib.template, config), None
-    to_input = rigid.inverse()
-    w_input = to_input.map_points(lib.template.geometry.index_to_world(lib.crop_box.corners()))
-    idx = input_vol.geometry.world_to_index(w_input)
-    in_box = CropBox(np.floor(idx.min(axis=0)).astype(int), np.ceil(idx.max(axis=0)).astype(int))
-    in_box = in_box.clipped(input_vol.geometry.dims)
-    in_crop = crop(input_vol, in_box)
+    g = input_vol.geometry
+    placed = input_vol.with_data(input_vol.data, Geometry(g.dims, rigid.matrix @ g.affine))
+    idx = placed.geometry.world_to_index(lib.template.geometry.index_to_world(lib.crop_box.corners()))
+    in_box = CropBox(np.floor(idx.min(axis=0)).astype(int), np.ceil(idx.max(axis=0)).astype(int)).clipped(g.dims)
+    in_crop = crop(placed, in_box)
     if psi is None:
-        psi = register_deformable(t_crop, in_crop, to_input, config)
-    return in_box, in_crop, rigid, psi
+        psi = register_deformable(t_crop, in_crop, config)
+    return in_box, in_crop, psi
 
 
 @contextmanager
@@ -186,8 +186,8 @@ def run_segment(
     t_crop = crop(lib.template, lib.crop_box)
 
     with _registrations(input_vol, lib, t_crop, config, true_warp_path, n_workers) as (registered, to_template):
-        in_box, in_crop, rigid, psi = registered
-        inv = resample_field(invert_field(psi), in_crop.geometry, rigid)
+        in_box, in_crop, psi = registered
+        inv = resample_field(invert_field(psi), in_crop.geometry)
         warped_labels, warped_ints = [], []
         for prior, field in zip(lib.priors, to_template):
             total = compose_fields(inv, field)

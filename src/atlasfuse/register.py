@@ -17,8 +17,8 @@ diffeomorphic-demons-style iteration driven by local normalized
 cross-correlation forces, with Gaussian regularization of both the update
 and the accumulated field: each pyramid level takes a fixed number of steps
 whose peak is one voxel (Vercauteren et al., NeuroImage 2009).
-Its field is the residual psi of the map init(x + psi(x)): an affine start
-stays outside it, as ANTs keeps its initial transform (Avants et al. 2011).
+Its map is x + psi(x): a rigid start lives in the moving image's header, as
+ITK and ANTs place each image by its header (Avants et al. 2011).
 """
 
 from __future__ import annotations
@@ -32,12 +32,9 @@ from .errors import DegenerateInput, FoldingDetected, InversionDiverged
 from .grid import AffineTransform, DeformationField, Geometry, LabelVolume, VolumeGrid, _is_int, resample, sq_norms
 
 
-def resample_field(field: DeformationField, geometry: Geometry, affine: AffineTransform) -> DeformationField:
-    """The field of y -> z + field(z) at z = affine(y), on geometry's lattice."""
-    pts = geometry.grid_world()
-    z = affine.map_points(pts)
-    disp = field.sample_disp(z) + (z - pts)
-    return DeformationField(geometry, disp.reshape(geometry.dims + (3,)))
+def resample_field(field: DeformationField, geometry: Geometry) -> DeformationField:
+    """The map y -> y + field(y) on geometry's lattice: field read at its voxel centres."""
+    return DeformationField(geometry, field.sample_disp(geometry.grid_world()).reshape(geometry.dims + (3,)))
 
 
 def compose_fields(outer: DeformationField, inner: DeformationField) -> DeformationField:
@@ -413,16 +410,11 @@ def _smooth_field(disp, sigma):
     return gaussian_filter(disp, sigma=(*np.broadcast_to(sigma, 3), 0.0), mode="nearest")
 
 
-def register_deformable(
-    fixed: VolumeGrid,
-    moving: VolumeGrid,
-    init: AffineTransform | None = None,
-    config: RegConfig | None = None,
-) -> DeformationField:
-    """Diffeomorphic-demons-style registration; returns the residual psi on the finest level's
-    lattice, which is fixed's own only when the last shrink factor is 1 or every deform_iters is 0.
+def register_deformable(fixed: VolumeGrid, moving: VolumeGrid, config: RegConfig | None = None) -> DeformationField:
+    """Diffeomorphic-demons-style registration; returns psi on the finest level's lattice,
+    which is fixed's own only when the last shrink factor is 1 or every deform_iters is 0.
 
-    The map is init(x + psi(x)), or x + psi(x) without init. psi starts at
+    The map is x + psi(x), each image placed by its header. psi starts at
     zero and each update composes into it alone. Each pyramid level composes
     exactly deform_iters updates, each scaled so its peak is one voxel, unless
     a zero force ends the level early. The Jacobian check reads psi.
@@ -449,10 +441,7 @@ def register_deformable(
         fixed_terms = (f, _local_means(f * f, _CC_RADIUS), eps)
         step = _STEP_LENGTH * float(np.min(geom.spacing))
         for _ in range(iters):
-            warped_pts = pts + field.disp.reshape(-1, 3)
-            if init is not None:
-                warped_pts = init.map_points(warped_pts)
-            warped = m_l.sample(warped_pts).reshape(geom.dims)
+            warped = m_l.sample(pts + field.disp.reshape(-1, 3)).reshape(geom.dims)
             force = _lncc_force(fixed_terms, warped, _CC_RADIUS, ainv3)
             peak = float(np.sqrt(sq_norms(force).max()))
             if peak <= 0:

@@ -28,7 +28,7 @@ def atlas_env(tmp_path_factory, base):
     t0 = time.perf_counter()
     lib = derive_atlases((wmn, truth), n=5, seed=7)
     lib.save(str(root / "atlas"))
-    subj_int, subj_truth, subj_warp = make_subject((wmn, truth), seed=2024)
+    subj_int, subj_truth, subj_warp = make_subject((wmn, truth), warp_spec=WarpSpec(seed=2024))
     build_s = time.perf_counter() - t0
     imgio.write_volume(subj_int, str(root / "subject.nii.gz"))
     imgio.write_volume(subj_truth, str(root / "subject_truth.nii.gz"))

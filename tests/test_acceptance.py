@@ -227,7 +227,7 @@ def test_criterion_5_registration_recovery(base):
     subj_truth = resample(truth, truth.geometry, w)
     box = label_bounding_box(subj_truth, margin=5)
     fixed = crop(subj_int, box)
-    g = register_deformable(fixed, crop(wmn, box), AffineTransform.identity(), RegConfig())
+    g = register_deformable(fixed, crop(wmn, box), RegConfig())
     warped = warp_labels(truth, g, fixed.geometry)
     truth_crop = crop(subj_truth, box)
     codes = [c for c in np.unique(truth_crop.data) if c != 0]
@@ -289,7 +289,6 @@ def test_criterion_7_ablation_ordering(tmp_path_factory, base):
     lib.save(str(root / "atlas"))
     subj_int, subj_truth, subj_warp = make_subject(
         (wmn, truth),
-        seed=4242,
         warp_spec=WarpSpec(
             seed=4242, max_displacement_mm=5.0, smoothness_mm=12.0, edge_taper_voxels=20
         ),

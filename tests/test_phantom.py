@@ -239,8 +239,8 @@ def test_derive_atlases_requires_positive_n(base):
 
 def test_make_subject_deterministic_and_consistent(base):
     wmn, truth, _ = base
-    s1 = make_subject((wmn, truth), seed=77)
-    s2 = make_subject((wmn, truth), seed=77)
+    s1 = make_subject((wmn, truth), warp_spec=WarpSpec(seed=77))
+    s2 = make_subject((wmn, truth), warp_spec=WarpSpec(seed=77))
     assert np.array_equal(s1[0].data, s2[0].data)
     assert np.array_equal(s1[1].data, s2[1].data)
     assert np.array_equal(s1[2].disp, s2[2].disp)

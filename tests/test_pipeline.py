@@ -141,7 +141,7 @@ def warp_free(tmp_path_factory, base):
     for prior in lib.priors:
         prior.warp_to_template = None
     lib.save(str(root / "atlas"))
-    subject, subject_truth, warp = make_subject(small, seed=2024)
+    subject, subject_truth, warp = make_subject(small, warp_spec=WarpSpec(seed=2024))
     imgio.write_volume(subject, str(root / "in.nii.gz"))
     imgio.write_field(warp, str(root / "warp.nii.gz"))
     return {
@@ -202,7 +202,7 @@ def off_template_lattice(tmp_path_factory, base):
     box = CropBox((3, 1, 7), (34, 32, 38))  # the warp_free and bench box
     small = crop(wmn, box), crop(truth, box)
     derive_atlases(small, n=5, seed=7).save(str(root / "atlas"))
-    subject, subject_truth, _ = make_subject(small, seed=2024)
+    subject, subject_truth, _ = make_subject(small, warp_spec=WarpSpec(seed=2024))
     g = subject.geometry
     centre = g.index_to_world(np.array([(np.array(g.dims) - 1) / 2.0]))[0]
     return {"atlas": str(root / "atlas"), "subject": subject, "truth": subject_truth, "centre": centre}
@@ -255,6 +255,37 @@ def test_segment_off_the_template_lattice(tmp_path, off_template_lattice, mirror
         if (mm3 >= 500 and (d < 0.85 or v < 0.90)) or (50 <= mm3 < 500 and d < 0.60) or cd > 1.0:
             failures.append((code, mm3, d, v, cd))
     assert not failures, f"criterion 6 violations: {failures}"
+
+
+def test_register_input_returns_the_crop_placed_by_the_rigid_map(off_template_lattice, monkeypatch):
+    """The rigid map goes into the input's header: the crop _register_input returns holds the
+    input's voxels under rigid.matrix @ the input crop's affine, in template space, and it is
+    the image demons reads. The input's header is turned 6 deg about z and shifted (7, -5, 4) mm."""
+    env = off_template_lattice
+    affine = env["subject"].geometry.affine.copy()
+    affine[:3, :3] = _rotation(2, 6.0) @ affine[:3, :3]
+    affine[:3, 3] += (7.0, -5.0, 4.0)
+    input_vol = VolumeGrid(env["subject"].data, affine)
+    lib = AtlasLibrary.load(env["atlas"])
+    t_crop = crop(lib.template, lib.crop_box)
+    rigids, movings = [], []
+    real_rigid = pipeline.register_rigid
+
+    def rigid_spy(*args):
+        rigids.append(real_rigid(*args))
+        return rigids[-1]
+
+    def deformable_spy(fixed, moving, config):
+        movings.append(moving)
+        return register.DeformationField.zero(fixed.geometry)
+
+    monkeypatch.setattr(pipeline, "register_rigid", rigid_spy)
+    monkeypatch.setattr(pipeline, "register_deformable", deformable_spy)
+    in_box, in_crop, psi = pipeline._register_input(input_vol, lib, t_crop, RegConfig(), None)
+    unplaced = crop(input_vol, in_box)
+    assert movings == [in_crop] and psi.geometry is t_crop.geometry
+    assert np.array_equal(in_crop.data, unplaced.data)
+    assert np.allclose(in_crop.geometry.affine, rigids[0].matrix @ unplaced.geometry.affine, rtol=0, atol=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -1013,6 +1044,28 @@ def test_segment_non_finite_input_exits_2(tmp_path, capsys, atlas_env):
     assert main(args + ["--fusion", "mv"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["message"]) == ("DegenerateInput", "fixed image has non-finite intensities")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("fusion", ["jlf", "mv"])
+@pytest.mark.parametrize("image", ["template.nii.gz", "priors/prior00/intensity.nii.gz"])
+def test_segment_non_finite_library_intensity_exits_2(tmp_path, capsys, atlas_env, image, fusion):
+    """A NaN voxel in the template or in a prior's intensity is refused when the library
+    loads, naming the file. A prior with a cached warp is never registered, so its NaN
+    would otherwise reach fusion unchecked and change labels with exit 0."""
+    atlas = tmp_path / "atlas"
+    shutil.copytree(atlas_env["atlas"], atlas)
+    vol = imgio.read_volume(str(atlas / image))
+    data = vol.data.copy()
+    data[19, 25, 30] = np.nan
+    imgio.write_volume(vol.with_data(data), str(atlas / image))
+    args = ["segment", "--input", atlas_env["subject"], "--atlas", str(atlas), "--out-dir", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert main(args + ["--fusion", fusion]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert (err["error"], err["message"]) == ("DegenerateInput", f"{atlas / image} has non-finite intensities")
     assert not (tmp_path / "o").exists()
 
 

@@ -60,6 +60,12 @@ def _header_shifted(vol, t):
     return VolumeGrid(vol.data, affine)
 
 
+def _placed(vol, init):
+    """vol under the header that init, a map into vol's world, places it by: init^-1 A.
+    A start map reads vol at init(y); the placed image reads the same voxel at y."""
+    return VolumeGrid(vol.data, init.inverse().matrix @ vol.geometry.affine)
+
+
 # --- AffineTransform ---
 
 
@@ -102,17 +108,8 @@ def test_field_rejects_non_finite():
 
 def test_resample_field_exact_on_lattice():
     f = random_diffeo(WarpSpec(seed=3), GEOM16)
-    again = resample_field(f, GEOM16, AffineTransform.identity())
+    again = resample_field(f, GEOM16)
     assert np.allclose(again.disp, f.disp, atol=1e-12)
-
-
-def test_resample_field_through_an_affine_reads_at_the_mapped_point():
-    """With an affine A, voxel y holds z + g(z) - y at z = A(y): a constant g under a
-    translation t reads g + t."""
-    g = _const_field(GEOM16, (0.5, -0.25, 1.0))
-    out = resample_field(g, GEOM16, _translation((1.0, 2.0, -1.0)))
-    # interior only: A(y) leaves the lattice near the rim, where g reads 0
-    assert np.allclose(out.disp[2:13, 1:13, 2:14], (1.5, 1.75, 0.0), atol=1e-12)
 
 
 # --- compose / invert ---
@@ -369,7 +366,7 @@ def test_deformable_self_registration_small(base):
     wmn, truth, _ = base
     box = label_bounding_box(truth, margin=5)
     fixed = crop(wmn, box)
-    f = register_deformable(fixed, fixed, AffineTransform.identity(), RegConfig())
+    f = register_deformable(fixed, fixed, RegConfig())
     assert f.max_norm() < 0.2  # voxels == mm here
     assert f.positive_jacobian_fraction() == 1.0
 
@@ -378,20 +375,19 @@ def test_deformable_zero_iterations_returns_zero_residual(base):
     wmn, truth, _ = base
     box = label_bounding_box(truth, margin=5)
     fixed = crop(wmn, box)
-    init = _translation((0.8, -0.3, 0.4))
     cfg = RegConfig(deform_iters=(0, 0, 0))
-    f = register_deformable(fixed, fixed, init, cfg)
+    f = register_deformable(fixed, _header_shifted(fixed, (0.8, -0.3, 0.4)), cfg)
     assert f.geometry == fixed.geometry
     assert np.array_equal(f.disp, np.zeros(fixed.geometry.dims + (3,)))
 
 
 def test_deformable_returns_the_residual_past_a_translation_init(base):
-    """The moving image is the fixed one moved 25 mm by its header and init is that
-    translation, so the map init(x + psi(x)) needs no residual: psi stays near zero."""
+    """The moving image is the fixed one moved 25 mm by its header, then placed back by
+    that translation: the map x + psi(x) needs no residual past it, so psi stays near zero."""
     wmn, truth, _ = base
     fixed = crop(wmn, label_bounding_box(truth, margin=5))
     shift = (25.0, -15.0, 12.0)
-    psi = register_deformable(fixed, _header_shifted(fixed, shift), _translation(shift))
+    psi = register_deformable(fixed, _placed(_header_shifted(fixed, shift), _translation(shift)))
     assert psi.geometry == fixed.geometry
     assert psi.max_norm() < 0.2
 
@@ -889,8 +885,9 @@ def _voxel_indices(dims):
 
 
 def _reference_demons(fixed, moving, init, config, levels):
-    """register_deformable's loop: deform_iters one-voxel steps per level on a
-    residual that starts at zero, with moving sampled at init(x + psi(x)).
+    """register_deformable's loop with a start map kept apart: deform_iters one-voxel
+    steps per level on a residual that starts at zero, with moving sampled at
+    init(x + psi(x)).
 
     Appends each pyramid level's exit to levels: "iters" once it has taken
     all its steps, "zero" on a zero force.
@@ -934,24 +931,50 @@ def _demons_pair(base, seed):
     return fixed, resample(fixed, fixed.geometry, warp)
 
 
-# case: (warp seed or None for moving = fixed, init translation, shrink factors,
-# demons iterations, the exit each level must take)
+def _start_map(geometry, shift, turn):
+    """A rigid start: a turn (axis, degrees) about the lattice's centre, or none, then a shift in mm."""
+    m = np.eye(4)
+    if turn is not None:
+        axis, degrees = turn
+        a = np.radians(degrees)
+        i, j = [(1, 2), (2, 0), (0, 1)][axis]
+        m[i, i], m[i, j], m[j, i], m[j, j] = np.cos(a), -np.sin(a), np.sin(a), np.cos(a)
+    centre = geometry.index_to_world([np.subtract(geometry.dims, 1) / 2.0])[0]
+    m[:3, 3] = centre - m[:3, :3] @ centre + shift
+    return AffineTransform(m)
+
+
+# case: (warp seed or None for moving = fixed, start shift (mm), start turn (axis, degrees)
+# or None, oblique lattice, shrink factors, demons iterations, the exit each level must take)
 DEMONS_CASES = {
-    "iters": (1, (0.4, -0.3, 0.2), (4, 2), (8, 6), ["iters", "iters"]),
-    "zero-force": (None, (0.0, 0.0, 0.0), (2, 1), (20, 20), ["zero", "zero"]),
+    "iters": (1, (0.4, -0.3, 0.2), None, False, (4, 2), (8, 6), ["iters", "iters"]),
+    "zero-force": (None, (0.0, 0.0, 0.0), None, False, (2, 1), (20, 20), ["zero", "zero"]),
+    "turn": (1, (0.4, -0.3, 0.2), (2, 4.0), False, (2, 1), (4, 3), ["iters", "iters"]),
+    "oblique-shift": (2, (-0.6, 0.5, 0.3), None, True, (2, 1), (4, 3), ["iters", "iters"]),
+    "oblique-turn": (2, (0.3, 0.2, -0.5), (0, -3.0), True, (4, 2), (6, 4), ["iters", "iters"]),
 }
 
 
 @pytest.mark.parametrize("case", DEMONS_CASES)
 def test_demons_matches_reference_loop(base, case):
-    seed, shift, shrink, iters, exits = DEMONS_CASES[case]
+    """Demons on the moving image placed by a rigid start reads what a loop that keeps
+    the start apart reads, moving at init(x + psi(x)): psi agrees to 1e-9 mm, and
+    exactly where the start is the identity. Turns and shifts, on an axis-aligned and
+    an oblique lattice."""
+    seed, shift, turn, oblique, shrink, iters, exits = DEMONS_CASES[case]
     fixed, moving = _demons_pair(base, seed)
+    if oblique:
+        aff = _oblique(np.random.default_rng(5), (1.0, 1.2, 0.9))
+        fixed, moving = VolumeGrid(fixed.data, aff), VolumeGrid(moving.data, aff)
+    init = _start_map(fixed.geometry, shift, turn)
     config = RegConfig(shrink_factors=shrink, linear_iters=(1,) * len(shrink), deform_iters=iters)
     levels = []
-    want = _reference_demons(fixed, moving, _translation(shift), config, levels)
-    got = register_deformable(fixed, moving, _translation(shift), config)
-    assert np.array_equal(got.disp, want)
+    want = _reference_demons(fixed, moving, init, config, levels)
+    got = register_deformable(fixed, _placed(moving, init), config)
     assert levels == exits
+    if case == "zero-force":
+        assert np.array_equal(got.disp, want)
+    assert np.abs(got.disp - want).max() < 1e-9
 
 
 def _oblique(rng, spacing):
@@ -985,8 +1008,8 @@ def test_demons_moves_psi_to_the_next_level_by_index(base, seed):
     fixed, moving = _demons_pair(base, 1)
     aff = _oblique(np.random.default_rng(seed), (1.0, 1.2, 0.9))
     fixed, moving = VolumeGrid(fixed.data, aff), VolumeGrid(moving.data, aff)
-    coarse = register_deformable(fixed, moving, None, RegConfig((2,), (1,), (4,)))
-    fine = register_deformable(fixed, moving, None, RegConfig((2, 1), (1, 1), (4, 0)))
+    coarse = register_deformable(fixed, moving, RegConfig((2,), (1,), (4,)))
+    fine = register_deformable(fixed, moving, RegConfig((2, 1), (1, 1), (4, 0)))
     want = coarse._sample_index(_voxel_indices(fixed.geometry.dims) / 2.0).reshape(fixed.geometry.dims + (3,))
     assert np.array_equal(fine.disp, want)
     box = tuple(slice(0, 2 * d - 1) for d in coarse.geometry.dims)  # the fine voxels at or inside the coarse box
@@ -1006,7 +1029,7 @@ def test_demons_scores_one_force_per_step(base, monkeypatch):
         return force(*args)
 
     monkeypatch.setattr(register, "_lncc_force", spy)
-    register_deformable(fixed, moving, AffineTransform.identity(), config)
+    register_deformable(fixed, moving, config)
     assert len(calls) == sum(config.deform_iters)
     per_level = {}
     for terms in calls:
@@ -1031,6 +1054,6 @@ def test_demons_builds_each_level_grid_once(base, monkeypatch):
 
     monkeypatch.setattr(Geometry, "_voxel_centers", build_spy)
     monkeypatch.setattr(register, "_lncc_force", force_spy)
-    register_deformable(fixed, moving, AffineTransform.identity(), RegConfig())
+    register_deformable(fixed, moving, RegConfig())
     assert len({id(terms) for terms in scored}) == 3 and len(scored) == sum(RegConfig().deform_iters)
     assert len({id(g) for g in built}) == len(built)

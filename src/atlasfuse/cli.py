@@ -2,6 +2,8 @@
 
 Subcommands: synth, segment, eval, stats, phantom.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+An output that would replace an input file, or a segment --out-dir inside
+the atlas library, is a usage error before anything is read or written.
 """
 
 from __future__ import annotations
@@ -16,11 +18,31 @@ from .atomic import make_dirs
 from .errors import AtlasFuseError, NumericalError, UsageError
 from .metrics import DEFAULT_COMPARISONS, METRICS
 from .phantom import PhantomSpec, WarpSpec, derive_atlases, make_subject, synthesized_base
-from .pipeline import CONFIG_KEYS, DEFAULT_FUSION, FUSIONS, read_config, run_eval, run_segment, run_stats
+from .pipeline import CONFIG_KEYS, DEFAULT_FUSION, EVAL_OUTPUTS, FUSIONS, SEGMENT_OUTPUTS, read_config
+from .pipeline import run_eval, run_segment, run_stats
 from .synth import DEFAULT_TI_MS, SynthesisParams, synthesize_wmn
 
 
+def _refuse_overwrite(args, inputs, outputs):
+    """UsageError when one of ``outputs`` names the file of an option in ``inputs`` (dest names of ``args``).
+
+    Two paths name one file when they resolve to the same path or, where both
+    exist, ``os.path.samefile`` holds (a hard link). Every command checks this
+    before it reads or writes anything.
+    """
+    for name in inputs:
+        path = getattr(args, name)
+        for out in outputs if path is not None else ():
+            try:
+                same = os.path.realpath(out) == os.path.realpath(path) or os.path.samefile(out, path)
+            except OSError:  # one of them does not exist
+                same = False
+            if same:
+                raise UsageError(f"output {out} would overwrite --{name.replace('_', '-')} {path}")
+
+
 def cmd_synth(args):
+    _refuse_overwrite(args, ("t1", "m0"), [args.out])
     t1 = imgio.read_volume(args.t1)
     if args.t1_unit == "s":
         t1 = t1.with_data(t1.data * 1000.0)
@@ -31,6 +53,11 @@ def cmd_synth(args):
 
 
 def cmd_segment(args):
+    atlas = os.path.realpath(args.atlas)
+    if os.path.commonpath([atlas, os.path.realpath(args.out_dir)]) == atlas:
+        raise UsageError(f"--out-dir {args.out_dir} lies inside the atlas library {args.atlas}, which is only read")
+    outputs = [os.path.join(args.out_dir, name) for name in SEGMENT_OUTPUTS.values()]
+    _refuse_overwrite(args, ("input", "config", "true_warp"), outputs)
     settings = read_config(args.config) if args.config else {}
     # --mode and --fusion stand in for the config's keys of the same names
     settings.update({k: v for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None})
@@ -42,6 +69,8 @@ def cmd_segment(args):
 
 
 def cmd_eval(args):
+    outputs = [os.path.join(args.out_dir, name) for name in EVAL_OUTPUTS.values()]
+    _refuse_overwrite(args, ("seg_a", "seg_b", "intensity_a", "intensity_b"), outputs)
     out = run_eval(
         args.seg_a,
         args.seg_b,
@@ -57,6 +86,7 @@ def cmd_eval(args):
 
 
 def cmd_stats(args):
+    _refuse_overwrite(args, ("csv_a", "csv_b"), [args.out])
     out = run_stats(args.csv_a, args.csv_b, args.out, m=args.m, metric=args.metric)
     print(
         json.dumps(

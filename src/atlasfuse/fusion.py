@@ -17,12 +17,13 @@ patches fit in ``_WINDOW_CAP`` bytes. For each atlas the window z-scores
 every centre's patch once, in float64, and stores it rounded to float32.
 Then each block scores every (offset, voxel) candidate in float32: it
 gathers whole window rows, subtracts the float32 target patches and sums
-the absolute differences with a BLAS matvec by a ones vector. From that
-(offset x voxel) table a screen keeps each candidate whose float32 SAD is
-within a proven slack of its voxel's least. A voxel that keeps one
-candidate takes it; the survivors of any other voxel are scored again in
-float64, as the per-voxel loop scores them, and the first least in offset
-order wins. The labels are bit-identical to that loop (kept as the oracle
+the absolute differences with a BLAS matvec by a ones vector. Over that
+(offset x voxel) table a screen masks each candidate whose float32 SAD is
+within a proven slack of its voxel's least. If every voxel of the block
+keeps one candidate, each takes it; else ``argmin`` picks the first least
+in offset order down each column of an (offset x voxel) table of the
+survivors' float64 SADs, scored as the per-voxel loop scores them, and +inf
+elsewhere. The labels are bit-identical to that loop (kept as the oracle
 in tests/test_fusion.py) because:
 
 - mean and std are float64 row reductions of contiguous patch rows, for
@@ -32,9 +33,9 @@ in tests/test_fusion.py) because:
   centring only;
 - the screen never drops a candidate whose float64 SAD equals its voxel's
   least, and the float64 scores of the survivors decide, with ``argmin``'s
-  first-minimum tie-break over the search offsets;
+  first-minimum tie-break over the search offsets (a NaN first);
 - the chosen patch's differences are z-scored again in float64;
-- one batched ``jlf_weights`` call serves the block: numpy's stacked
+- one batched ``jlf_weights`` call serves a block: numpy's stacked
   matmul and solve run the same kernel per matrix as a 2-D call, and every
   reduction over atlases is a contiguous row, as in a per-voxel call;
 - each code's vote sums its atlases' weights as one contiguous row.
@@ -56,11 +57,12 @@ patches; a block whose own centres would exceed it is halved until they
 fit, down to a single voxel, whose window (search cube x patch) is the
 floor. Besides the window, one block holds (block x patch) buffers for the
 target in float64 and float32, the gather and the row-reduction
-temporaries, and (offset x block) tables of candidate centres, window rows
-and float32 SADs; its (block x atlas x patch) differences are built after
-the window is released. The call holds each window voxel's chosen centre
-per atlas, and a row lookup and two marks the size of the padded volume.
-No (voxel x offset x patch) array is ever held.
+temporaries, and (offset x block) tables of candidate centres, window rows,
+float32 SADs, the screen's mask and at times float64 SADs. The call holds
+one chosen centre per atlas and disagreeing voxel, and a row lookup and two
+marks the size of the padded volume. After the last window is released,
+fusion builds (block x atlas x patch) differences ``_CHUNK`` voxels at a
+time. No (voxel x offset x patch) array is ever held.
 """
 
 from __future__ import annotations
@@ -213,24 +215,15 @@ def _windows(vox, search_off, npatch, size):
 
 
 def _screen(sad, npatch):
-    """The candidates that may hold their voxel's least float64 SAD, as (voxel, offset) index pairs.
+    """The (offset x voxel) mask of candidates that may hold their voxel's least float64 SAD.
 
     ``sad`` is the (offset x voxel) float32 table. A candidate is dropped only
     when its SAD exceeds its voxel's least by more than the slack
     ``16 P 2**-24 (least + 4)`` (module docstring), so a NaN least keeps them
-    all. Pairs come voxel by voxel, offsets ascending within a voxel.
+    all and every voxel keeps at least one.
     """
     low = sad.min(axis=0).astype(np.float64)
-    bound = low + 16 * npatch * 2.0**-24 * (low + 4)
-    return np.nonzero(~(sad.T > bound[:, None]))
-
-
-def _first_minima(vi, sad):
-    """Per voxel run of ``vi``, the index of its first least ``sad``, as ``argmin`` picks it (NaN first)."""
-    starts = np.flatnonzero(np.diff(vi, prepend=-1))
-    low = np.repeat(np.minimum.reduceat(sad, starts), np.diff(starts, append=len(vi)))
-    hit = np.flatnonzero((sad == low) | np.isnan(sad))
-    return hit[np.diff(vi[hit], prepend=-1) != 0]
+    return ~(sad > low + 16 * npatch * 2.0**-24 * (low + 4))
 
 
 def _search(z, row_of, vc, search_off, tflat, aflat, patch_off):
@@ -238,8 +231,8 @@ def _search(z, row_of, vc, search_off, tflat, aflat, patch_off):
 
     ``z`` is the window of float32 z-scored atlas patches and ``row_of`` maps
     a centre to its window row. Every (offset, voxel) SAD is scored in
-    float32; the survivors of ``_screen`` are re-scored in float64 unless
-    each voxel kept one.
+    float32; unless each voxel kept one, ``argmin`` reads the survivors of
+    ``_screen`` re-scored in float64, in an (offset x voxel) table.
     """
     m, npatch = len(vc), len(patch_off)
     cand = vc + search_off  # (offset x voxel) candidate centres
@@ -254,16 +247,17 @@ def _search(z, row_of, vc, search_off, tflat, aflat, patch_off):
         buf -= t32
         np.abs(buf, out=buf)
         np.matmul(buf, ones, out=sad[s])  # a BLAS row sum
-    vi, si = _screen(sad, npatch)
-    if len(vi) > m:
-        exact = np.empty(len(vi))
-        for b in range(0, len(vi), _CHUNK):
-            v = vi[b : b + _CHUNK]
-            d = _zrows(np.empty((len(v), npatch)), aflat, cand[si[b : b + _CHUNK], v], patch_off)
-            d -= tpatch[v]
-            np.abs(d, out=d).sum(axis=1, out=exact[b : b + len(v)])
-        si = si[_first_minima(vi, exact)]
-    return cand[si, np.arange(m)]
+    keep = _screen(sad, npatch)
+    if keep.sum() == m:
+        return cand[np.argmax(keep, axis=0), np.arange(m)]
+    si, vi = np.nonzero(keep)
+    exact = np.full(keep.shape, np.inf)  # the survivors' float64 SADs; argmin takes the first least, NaN first
+    for b in range(0, len(si), _CHUNK):
+        s, v = si[b : b + _CHUNK], vi[b : b + _CHUNK]
+        d = _zrows(np.empty((len(v), npatch)), aflat, cand[s, v], patch_off)
+        d -= tpatch[v]
+        exact[s, v] = np.abs(d, out=d).sum(axis=1)
+    return cand[np.argmin(exact, axis=0), np.arange(m)]
 
 
 def _fuse_block(vc, best, tflat, apad, lpad, patch_off):
@@ -296,7 +290,7 @@ def joint_label_fusion(
     stack = np.stack([lv.data for lv in atlas_labels], axis=0)
     out = stack[0].copy()
     disagree = np.any(stack != stack[0], axis=0)
-    if n == 1 or not disagree.any():
+    if not disagree.any():
         return atlas_labels[0].with_data(out)
 
     pr, sr = params.patch_radius, params.search_radius
@@ -313,19 +307,18 @@ def joint_label_fusion(
     vox = np.flatnonzero(np.pad(disagree, pad))
     tflat = tpad.ravel()
     row_of = np.empty(tpad.size, dtype=np.int32)  # window row of a candidate centre
-    fused = np.empty(len(vox), dtype=out.dtype)
+    best = np.empty((n, len(vox)), dtype=np.int64)  # chosen centre per atlas and disagreeing voxel
     for centres, blocks in _windows(vox, search_off, len(patch_off), tpad.size):
         row_of[centres] = np.arange(len(centres))
-        w0 = blocks[0][0]
-        best = np.empty((n, blocks[-1][1] - w0), dtype=np.int64)  # chosen centre per atlas and voxel
         z = np.empty((len(centres), len(patch_off)), dtype=np.float32)
         for ai in range(n):
             _zrows(z, apad[ai], centres, patch_off)
             for b0, b1 in blocks:
-                best[ai, b0 - w0 : b1 - w0] = _search(z, row_of, vox[b0:b1], search_off, tflat, apad[ai], patch_off)
-        del z  # the differences below are built without the window
-        for b0, b1 in blocks:
-            fused[b0:b1] = _fuse_block(vox[b0:b1], best[:, b0 - w0 : b1 - w0], tflat, apad, lpad, patch_off)
+                best[ai, b0:b1] = _search(z, row_of, vox[b0:b1], search_off, tflat, apad[ai], patch_off)
+        del z  # the differences below are built without a window
+    fused = np.empty(len(vox), dtype=out.dtype)
+    for b in range(0, len(vox), _CHUNK):
+        fused[b : b + _CHUNK] = _fuse_block(vox[b : b + _CHUNK], best[:, b : b + _CHUNK], tflat, apad, lpad, patch_off)
 
     out[disagree] = fused  # vox lists the disagreeing voxels in C order
     return atlas_labels[0].with_data(out)

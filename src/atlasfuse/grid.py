@@ -307,9 +307,6 @@ class DeformationField:
             )
         return out
 
-    def max_norm(self) -> float:
-        return float(np.sqrt(sq_norms(self.disp).max()))
-
     def jacobian_determinants(self) -> np.ndarray:
         """det(I + du/dx_world) per voxel via central differences."""
         ainv = np.linalg.inv(self.geometry.affine[:3, :3])

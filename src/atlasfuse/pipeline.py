@@ -59,6 +59,9 @@ DEFAULT_FUSION = {"wmn": "jlf", "mp2syn": "jlf", "mp2uni": "mv"}
 # give (run_segment's parameters of the same names), then the run's record
 CONFIG_KEYS = ("mode", "fusion", "reg_config", "jlf_params")
 MANIFEST_KEYS = (*CONFIG_KEYS, "input_hashes", "tool_version", "notes")
+# the files run_segment and run_eval write in out_dir, under the keys they return
+SEGMENT_OUTPUTS = {"segmentation": "segmentation.nii.gz", "volumes": "volumes.csv", "manifest": "manifest.json"}
+EVAL_OUTPUTS = {"csv": "metrics.csv", "json": "metrics.json"}
 
 
 def _sha256(path):
@@ -202,11 +205,9 @@ def run_segment(
 
     seg_full = uncrop(seg_crop, in_box, input_vol.geometry)
     make_dirs(out_dir)
-    seg_path = os.path.join(out_dir, "segmentation.nii.gz")
-    imgio.write_volume(seg_full, seg_path)
-
-    vol_path = os.path.join(out_dir, "volumes.csv")
-    write_volumes_csv(seg_full, lib.scheme, vol_path)
+    out = {key: os.path.join(out_dir, name) for key, name in SEGMENT_OUTPUTS.items()}
+    imgio.write_volume(seg_full, out["segmentation"])
+    write_volumes_csv(seg_full, lib.scheme, out["volumes"])
 
     manifest = {
         "mode": mode,
@@ -225,10 +226,9 @@ def run_segment(
             **LABEL_INTERPOLATION_NOTE,
         },
     }
-    man_path = os.path.join(out_dir, "manifest.json")
-    with atomic_open(man_path) as f:
+    with atomic_open(out["manifest"]) as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
-    return {"segmentation": seg_path, "volumes": vol_path, "manifest": man_path}
+    return out
 
 
 def run_eval(
@@ -256,11 +256,10 @@ def run_eval(
         raise GeometryMismatch("labelmap grids differ; pass --align with intensity volumes")
     report = build_report(seg_a, seg_b, scheme, aggregate_hemispheres)
     make_dirs(out_dir)
-    csv_path = os.path.join(out_dir, "metrics.csv")
-    json_path = os.path.join(out_dir, "metrics.json")
-    report.to_csv(csv_path, subject_id=subject_id)
-    report.to_json(json_path)
-    return {"csv": csv_path, "json": json_path, "report": report}
+    out = {key: os.path.join(out_dir, name) for key, name in EVAL_OUTPUTS.items()}
+    report.to_csv(out["csv"], subject_id=subject_id)
+    report.to_json(out["json"])
+    return {**out, "report": report}
 
 
 def run_stats(csv_a_path, csv_b_path, out_path, m=DEFAULT_COMPARISONS, metric=METRICS[0]):

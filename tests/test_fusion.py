@@ -379,7 +379,7 @@ def test_jlf_float64_decides_what_float32_cannot_tell_apart():
 
 
 def test_screen_keeps_what_float32_misorders_and_float64_decides():
-    """On a hand-built (offset x voxel) table, each column a voxel.
+    """On a hand-built (offset x voxel) table, each column a voxel, the screen's mask keeps each float64 least.
 
     Voxel 0: float32 ranks offset 1 first, float64 offset 0; offset 3 lies
     beyond the slack. Voxel 1: offsets 1 and 2 tie in both; offset 0 is far.
@@ -399,10 +399,10 @@ def test_screen_keeps_what_float32_misorders_and_float64_decides():
     sad[0, 0] = np.nextafter(np.float32(10.0), np.float32(11.0))
     sad[1, 0] = np.float32(10.0)
     assert np.argmin(sad[:, 0]) == 1 and np.argmin(exact[:, 0]) == 0
-    vi, si = fusion._screen(sad, npatch)
-    assert list(zip(vi.tolist(), si.tolist())) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (2, 3)]
-    picked = si[fusion._first_minima(vi, exact[si, vi])]
-    assert picked.tolist() == [0, 1, 1] == np.argmin(exact, axis=0).tolist()
+    keep = fusion._screen(sad, npatch)
+    assert keep.T.tolist() == [[True, True, True, False], [False, True, True, False], [True, True, True, True]]
+    table = np.where(keep, exact, np.inf)  # the float64 table _search's argmin reads
+    assert np.argmin(table, axis=0).tolist() == [0, 1, 1] == np.argmin(exact, axis=0).tolist()
 
 
 @pytest.mark.parametrize("cap_rows", [1, 400])

@@ -328,6 +328,26 @@ def _assert_dice_tiers(seg, truth):
         assert d >= (0.85 if n >= 500 else 0.60), f"code {code}: dice {d:.3f} (n={n})"
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the rigid search descends from zero rotation only")
+@pytest.mark.parametrize(
+    "axis,degrees", [(2, 90.0), (2, 180.0), (0, 60.0), (1, 90.0)], ids=["90z", "180z", "60x", "90y"]
+)
+def test_segment_turned_head(tmp_path, off_template_lattice, axis, degrees):
+    """The 32^3-box subject stored under a header turned about the box centre meets criterion
+    6's Dice tiers. Past the rigid search's capture range each of these exits 0 and misses
+    them: mean Dice 0.4522 at 90 deg about z, 0.0000 at 180 about z and 60 about x, and
+    0.4446 at 90 about y, measured."""
+    env = off_template_lattice
+    turn = _rotation(axis, degrees)
+    affine = env["subject"].geometry.affine.copy()
+    affine[:3, :3] = turn @ affine[:3, :3]
+    affine[:3, 3] = turn @ (affine[:3, 3] - env["centre"]) + env["centre"]
+    imgio.write_volume(VolumeGrid(env["subject"].data, affine), str(tmp_path / "in.nii.gz"))
+
+    out = run_segment(str(tmp_path / "in.nii.gz"), env["atlas"], str(tmp_path / "out"))
+    _assert_dice_tiers(imgio.read_volume(out["segmentation"], as_labels=True), LabelVolume(env["truth"].data, affine))
+
+
 def _segment_scaled(root, env, scale, shift):
     """The 32^3-box subject's intensities times scale, stored under a header shifted by
     shift mm, segmented: its labels and its truth on the shifted lattice."""
@@ -928,6 +948,73 @@ def test_cli_failed_write_exits_2(tmp_path, capsys, warp_free, case):
     assert (tmp_path / "afile").read_text() == "keep"
     assert not (tmp_path / "nodir").exists()
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def _synth_args(d, out):
+    return ["synth", "--t1", str(d / "t1.nii.gz"), "--out", str(d / out)]
+
+
+def _linked_to_t1(d, link):
+    link(d / "t1.nii.gz", d / "link.nii.gz")
+    return "link.nii.gz"
+
+
+def _eval_over_seg_a(d, env):
+    args = _eval_args(d, env)  # its --out-dir is d / "afile"
+    (d / "afile").mkdir()
+    args[2] = str(shutil.copy(args[2], d / "afile" / "metrics.csv"))  # a labelmap under an output's name
+    return args
+
+
+def _segment_args(d, env, out_dir="out", **inputs):
+    """segment's command line writing into d / out_dir. Each of inputs (input, warp or config)
+    is first placed at its path under d: env's file, or for config {"fusion": "mv"}."""
+    given = {"input": env["input"], "warp": env["warp"]}
+    for key, name in inputs.items():
+        (d / name).parent.mkdir(parents=True, exist_ok=True)
+        if key == "config":
+            (d / name).write_text('{"fusion": "mv"}')
+        else:
+            shutil.copy(env[key], d / name)
+        given[key] = str(d / name)
+    args = ["segment", "--input", given["input"], "--atlas", str(d / "atlas"), "--out-dir", str(d / out_dir)]
+    args += ["--fusion", "mv", "--true-warp", given["warp"]]
+    return args + (["--config", given["config"]] if "config" in given else [])
+
+
+# case: a command line whose output would replace one of its inputs, in a directory that
+# holds a 6^3 T1 map "t1.nii.gz", an M0 map "m0.nii.gz" and the warp_free library under "atlas"
+OWN_INPUT = {
+    "synth-out-is-t1": lambda d, env: _synth_args(d, "t1.nii.gz"),
+    "synth-out-is-m0": lambda d, env: _synth_args(d, "m0.nii.gz") + ["--m0", str(d / "m0.nii.gz")],
+    "synth-out-hard-links-t1": lambda d, env: _synth_args(d, _linked_to_t1(d, os.link)),
+    "synth-out-symlinks-t1": lambda d, env: _synth_args(d, _linked_to_t1(d, os.symlink)),
+    "stats-out-is-csv-a": lambda d, env: _stats_args(d, d / "a.csv"),
+    "stats-out-is-csv-b": lambda d, env: _stats_args(d, d / "b.csv"),
+    "eval-out-dir-holds-seg-a": _eval_over_seg_a,
+    "segment-input-is-the-segmentation": lambda d, env: _segment_args(d, env, input="out/segmentation.nii.gz"),
+    "segment-config-is-the-manifest": lambda d, env: _segment_args(d, env, config="out/manifest.json"),
+    "segment-true-warp-is-the-volumes": lambda d, env: _segment_args(d, env, warp="out/volumes.csv"),
+    "segment-out-dir-is-the-atlas": lambda d, env: _segment_args(d, env, out_dir="atlas"),
+    "segment-out-dir-inside-the-atlas": lambda d, env: _segment_args(d, env, out_dir="atlas/priors/out"),
+}
+
+
+@pytest.mark.parametrize("case", OWN_INPUT)
+def test_cli_output_over_an_input_exits_1(tmp_path, capsys, warp_free, case):
+    """A command whose output path names one of its input files, by resolved path or as the
+    same file, or a segment --out-dir inside its read-only --atlas, is a usage error: one
+    JSON line, exit 1, and not a byte read or written under the directory changes."""
+    for name, value in (("t1", 1500.0), ("m0", 1.0)):
+        imgio.write_volume(VolumeGrid(np.full((6, 6, 6), value), np.eye(4)), str(tmp_path / f"{name}.nii.gz"))
+    shutil.copytree(warp_free["atlas"], tmp_path / "atlas")
+    args = OWN_INPUT[case](tmp_path, warp_free)
+    before = _tree_sha(tmp_path)
+    capsys.readouterr()
+    assert main(args) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "UsageError"
+    assert _tree_sha(tmp_path) == before
 
 
 def _with_nan_displacement(src, dst):

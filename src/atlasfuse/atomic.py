@@ -1,4 +1,4 @@
-"""All-or-nothing output files.
+"""All-or-nothing output files that never replace an input.
 
 Every file the package writes goes through :func:`atomic_open`: the content
 is written to a temporary file in the destination's directory and moved onto
@@ -15,7 +15,7 @@ import contextlib
 import os
 import uuid
 
-from .errors import IoFailure
+from .errors import IoFailure, UsageError
 
 
 @contextlib.contextmanager
@@ -42,3 +42,17 @@ def make_dirs(path):
         os.makedirs(path, exist_ok=True)
     except OSError as e:
         raise IoFailure(f"cannot make directory {path}: {e}") from e
+
+
+def refuse_overwrite(outputs, inputs):
+    """UsageError when one of ``outputs`` names the file of an input in ``inputs`` (label -> path, None if not given).
+
+    Each run calls this before it reads anything. Two paths name one file when
+    they resolve to the same path or, where both exist, ``os.path.samefile``
+    holds (a hard link).
+    """
+    for label, path in inputs.items():
+        for out in outputs if path is not None else ():
+            with contextlib.suppress(OSError):  # samefile: one of them does not exist
+                if os.path.realpath(out) == os.path.realpath(path) or os.path.samefile(out, path):
+                    raise UsageError(f"output {out} would overwrite {label} {path}")

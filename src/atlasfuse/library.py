@@ -43,8 +43,8 @@ def read_data_file(path, parse):
         raise DataError(f"cannot read {path}: {e!r}") from e
 
 
-def _read_intensity(path):
-    """The image at path; a non-finite voxel is DegenerateInput, as a cached warp would carry it into fusion."""
+def read_intensity(path):
+    """The image at path; a non-finite voxel is DegenerateInput (no registration checks one under a known warp)."""
     vol = imgio.read_volume(path)
     if not np.isfinite(vol.data).all():
         raise DegenerateInput(f"{path} has non-finite intensities")
@@ -84,7 +84,7 @@ class AtlasLibrary:
 
     @classmethod
     def load(cls, atlas_dir) -> "AtlasLibrary":
-        template = _read_intensity(template_path(atlas_dir))
+        template = read_intensity(template_path(atlas_dir))
         box = read_data_file(os.path.join(atlas_dir, "cropbox.json"), lambda f: CropBox.from_dict(json.load(f)))
         scheme = read_data_file(os.path.join(atlas_dir, "scheme.json"), lambda f: LabelScheme._from_rows(json.load(f)))
         priors = []
@@ -95,7 +95,7 @@ class AtlasLibrary:
             sub = os.path.join(pdir, pid)
             if not os.path.isdir(sub):
                 continue
-            intensity = _read_intensity(os.path.join(sub, "intensity.nii.gz"))
+            intensity = read_intensity(os.path.join(sub, "intensity.nii.gz"))
             labels = imgio.read_volume(
                 os.path.join(sub, "labels.nii.gz"), as_labels=True, scheme=scheme
             )

@@ -25,11 +25,11 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, imgio
-from .atomic import atomic_open, make_dirs
+from .atomic import atomic_open, make_dirs, refuse_overwrite
 from .errors import GeometryMismatch, InsufficientSubjects, RowMismatch, UsageError
 from .fusion import JlfParams, joint_label_fusion, majority_vote
 from .grid import AffineTransform, CropBox, Geometry, _is_int, crop, default_scheme, resample, uncrop
-from .library import AtlasLibrary, template_path
+from .library import AtlasLibrary, read_intensity, template_path
 from .metrics import (
     DEFAULT_COMPARISONS,
     LABEL_INTERPOLATION_NOTE,
@@ -170,8 +170,8 @@ def run_segment(
     registered to the template in memory, and its id is listed under
     ``notes.computed_prior_warps`` in the manifest. ``n_workers`` threads run
     the registrations while the calling thread inverts and assembles
-    (``_registrations``); one worker starts no thread. Settings are checked
-    before anything is read: a bad one is a UsageError.
+    (``_registrations``); one worker starts no thread. A bad setting, an output over
+    an input or an ``out_dir`` inside ``atlas_dir`` is a UsageError before any read.
     """
     if not isinstance(mode, str) or mode not in DEFAULT_FUSION:
         raise UsageError(f"mode must be one of {tuple(DEFAULT_FUSION)}, not {mode!r}")
@@ -183,9 +183,14 @@ def run_segment(
         raise UsageError(f"n_workers must be an integer >= 1, not {n_workers!r}")
     config = reg_config or RegConfig()
     jparams = jlf_params or JlfParams()
+    out = {key: os.path.join(out_dir, name) for key, name in SEGMENT_OUTPUTS.items()}
+    atlas = os.path.realpath(atlas_dir)
+    if os.path.commonpath([atlas, os.path.realpath(out_dir)]) == atlas:
+        raise UsageError(f"out_dir {out_dir} lies inside the atlas library {atlas_dir}, which is only read")
+    refuse_overwrite(out.values(), {"input": input_path, "true_warp": true_warp_path})
 
     lib = AtlasLibrary.load(atlas_dir)
-    input_vol = imgio.read_volume(input_path)
+    input_vol = read_intensity(input_path)
     t_crop = crop(lib.template, lib.crop_box)
 
     with _registrations(input_vol, lib, t_crop, config, true_warp_path, n_workers) as (registered, to_template):
@@ -205,7 +210,6 @@ def run_segment(
 
     seg_full = uncrop(seg_crop, in_box, input_vol.geometry)
     make_dirs(out_dir)
-    out = {key: os.path.join(out_dir, name) for key, name in SEGMENT_OUTPUTS.items()}
     imgio.write_volume(seg_full, out["segmentation"])
     write_volumes_csv(seg_full, lib.scheme, out["volumes"])
 
@@ -241,9 +245,14 @@ def run_eval(
     aggregate_hemispheres=False,
     subject_id="",
 ):
-    """Compare two labelmaps in the default scheme; optional affine alignment of A onto B's grid."""
+    """Compare two labelmaps in the default scheme (``align``: A affinely onto B's grid); no output over an input."""
     if align and not (intensity_a_path and intensity_b_path):
         raise UsageError("--align requires both intensity volumes")
+    out = {key: os.path.join(out_dir, name) for key, name in EVAL_OUTPUTS.items()}
+    refuse_overwrite(
+        out.values(),
+        {"seg_a": seg_a_path, "seg_b": seg_b_path, "intensity_a": intensity_a_path, "intensity_b": intensity_b_path},
+    )
     scheme = default_scheme()
     seg_a = imgio.read_volume(seg_a_path, as_labels=True, scheme=scheme)
     seg_b = imgio.read_volume(seg_b_path, as_labels=True, scheme=scheme)
@@ -256,16 +265,16 @@ def run_eval(
         raise GeometryMismatch("labelmap grids differ; pass --align with intensity volumes")
     report = build_report(seg_a, seg_b, scheme, aggregate_hemispheres)
     make_dirs(out_dir)
-    out = {key: os.path.join(out_dir, name) for key, name in EVAL_OUTPUTS.items()}
     report.to_csv(out["csv"], subject_id=subject_id)
     report.to_json(out["json"])
     return {**out, "report": report}
 
 
 def run_stats(csv_a_path, csv_b_path, out_path, m=DEFAULT_COMPARISONS, metric=METRICS[0]):
-    """Per-label paired t-tests of metric A vs B across subjects; m is the Bonferroni comparison count."""
+    """Per-label paired t-tests of metric A vs B across subjects (m: Bonferroni count); out_path may be neither CSV."""
     if m < 1:
         raise UsageError(f"m must be >= 1, got {m}")
+    refuse_overwrite([out_path], {"csv_a": csv_a_path, "csv_b": csv_b_path})
     a, names = read_metrics_csv(csv_a_path, metric)
     b, _ = read_metrics_csv(csv_b_path, metric)
     if set(a) != set(b):

@@ -199,7 +199,7 @@ def test_jlf_params_rejects_what_it_cannot_run(kwargs):
         JlfParams(**kwargs)
 
 
-def test_jlf_params_takes_integer_radii_and_a_zero_absolute_epsilon():
+def test_jlf_params_takes_numpy_integer_radii():
     params = JlfParams(patch_radius=np.int64(0), search_radius=np.int32(1))
     assert (params.patch_radius, params.search_radius) == (0, 1)
     assert type(params.patch_radius) is int and type(params.search_radius) is int  # the manifest is JSON

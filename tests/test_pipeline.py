@@ -1017,6 +1017,34 @@ def test_cli_output_over_an_input_exits_1(tmp_path, capsys, warp_free, case):
     assert _tree_sha(tmp_path) == before
 
 
+# the run_* call a segment, eval or stats command line stands for, made as bench/child.py makes it
+LIBRARY_CALLS = {
+    "segment": lambda a: run_segment(a.input, a.atlas, a.out_dir, fusion=a.fusion, true_warp_path=a.true_warp),
+    "eval": lambda a: run_eval(a.seg_a, a.seg_b, a.out_dir),
+    "stats": lambda a: run_stats(a.csv_a, a.csv_b, a.out),
+}
+
+
+def _no_read(path, *args, **kwargs):
+    raise AssertionError(f"{path} was read")
+
+
+# every OWN_INPUT case but those of the files only the CLI reads: synth's inputs and --config
+@pytest.mark.parametrize("case", [c for c in OWN_INPUT if not c.startswith("synth-") and "config" not in c])
+def test_library_output_over_an_input_raises_before_any_read(tmp_path, monkeypatch, warp_free, case):
+    """run_segment, run_eval and run_stats refuse an output over one of their inputs, and
+    run_segment an out_dir inside its atlas, themselves: a caller that skips the CLI gets a
+    UsageError before any input is read, and no file under the directory changes."""
+    shutil.copytree(warp_free["atlas"], tmp_path / "atlas")
+    args = cli.build_parser().parse_args(OWN_INPUT[case](tmp_path, warp_free))
+    before = _tree_sha(tmp_path)
+    for module, name in ((imgio, "read_volume"), (imgio, "read_field"), (pipeline, "read_metrics_csv")):
+        monkeypatch.setattr(module, name, _no_read)
+    with pytest.raises(UsageError, match="would overwrite|inside the atlas"):
+        LIBRARY_CALLS[args.command](args)
+    assert _tree_sha(tmp_path) == before
+
+
 def _with_nan_displacement(src, dst):
     """Copy a gzipped warp file with its first displacement component set to NaN."""
     with gzip.open(src, "rb") as f:
@@ -1119,18 +1147,21 @@ def _move_prior(prior_dir, shift):
         imgio.write_volume(type(vol)(vol.data, affine), str(prior_dir / name))
 
 
-def test_segment_non_finite_input_exits_2(tmp_path, capsys, atlas_env):
-    """A NaN voxel in the input is a data error at the rigid stage, not a
-    wrong registration or a numerical failure downstream."""
+@pytest.mark.parametrize("registration", ["registered", "true-warp"])
+def test_segment_non_finite_input_exits_2(tmp_path, capsys, atlas_env, registration):
+    """A NaN voxel in the input is a data error naming the file when it is read, not a
+    wrong registration or a numerical failure downstream. A true warp skips registration,
+    which used to be the only check, so there the NaN reached JLF and changed labels with exit 0."""
     subject = imgio.read_volume(atlas_env["subject"])
     data = subject.data.copy()
     data[32, 32, 32] = np.nan
     path = str(tmp_path / "nan.nii.gz")
     imgio.write_volume(subject.with_data(data), path)
     args = ["segment", "--input", path, "--atlas", atlas_env["atlas"], "--out-dir", str(tmp_path / "o")]
-    assert main(args + ["--fusion", "mv"]) == 2
+    given = ["--fusion", "mv"] if registration == "registered" else ["--true-warp", atlas_env["subject_warp"]]
+    assert main(args + given) == 2
     err = json.loads(capsys.readouterr().err)
-    assert (err["error"], err["message"]) == ("DegenerateInput", "fixed image has non-finite intensities")
+    assert (err["error"], err["message"]) == ("DegenerateInput", f"{path} has non-finite intensities")
     assert not (tmp_path / "o").exists()
 
 
